@@ -8,7 +8,7 @@ Subpackages:
 * :mod:`repro.backends` — MapReduce + Pregel inference backends and the
   traditional k-hop baseline
 * :mod:`repro.strategies` — partial-gather / broadcast / shadow-nodes config
-* :mod:`repro.synth_data` / :mod:`repro.oracle` — provided workspace tools
+* :mod:`repro.oracle` — DuckDB result-equality checker (tests)
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for results.
 """

@@ -10,7 +10,8 @@
   (PyG/DGL stand-in): sampled k-hop neighborhood construction plus
   per-target localized forward, with all its redundant computation.
 
-Both InferTurbo backends share the GAS data-flow machinery in
-:mod:`repro.backends.common` and produce bit-identical results.
+Both InferTurbo backends run the same per-batch GAS stages from
+:mod:`repro.backends.kernel` over the shuffles of
+:mod:`repro.backends.common`, and produce bit-identical results.
 """
 from repro.backends.common import N_WORKERS, RunStats  # noqa: F401

@@ -1,8 +1,9 @@
 """Shared GAS data-flow machinery for the MapReduce and Pregel backends.
 
-This module owns the two *data-flow* stages of the abstraction —
-``gather_nbrs`` (receive + vectorize) and ``scatter_nbrs`` (send) — plus
-the logical-worker model and communication instrumentation:
+This module owns the Spark side of the abstraction — ``scatter_nbrs``
+(send), the shuffles that gather messages into buckets, and the
+logical-worker model with its communication instrumentation — while the
+per-bucket work runs in :mod:`repro.backends.kernel`:
 
 * **Logical workers.** The paper runs on ~1000 instances; locally we
   simulate placement with ``worker(id) = pmod(xxhash64(id), W)``
@@ -11,37 +12,24 @@ the logical-worker model and communication instrumentation:
   these logical workers, so the measured message/byte reductions are
   exact and machine-independent.
 * **Vectorized gather.** Messages are grouped by a destination bucket
-  (not per node) and reduced with NumPy segment ops inside
-  ``applyInPandas`` — hundreds of destinations per Arrow batch instead
-  of one Python call per node.
+  (not per node) and handed to the kernel as one Arrow table per bucket
+  through ``applyInArrow`` — hundreds of destinations per Python call,
+  reduced with NumPy segment ops.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
+from repro.backends import kernel
 from repro.core.gas import GASLayer
 from repro.core.model import GNNModel
-from repro.strategies import StrategyConfig
 
 N_WORKERS = 16
-
-STATE_SCHEMA = StructType(
-    [StructField("id", LongType()), StructField("h", ArrayType(DoubleType()))]
-)
-MSG_SCHEMA = StructType(
-    [
-        StructField("src", LongType()),
-        StructField("dst", LongType()),
-        StructField("payload", ArrayType(DoubleType())),
-    ]
-)
 
 
 def worker_of(col):
@@ -84,13 +72,6 @@ class RunStats:
         return self.wall_s * cores / 60.0
 
 
-def _stack(col: pd.Series, dim: int) -> np.ndarray:
-    """Column of array<double> -> [n, dim] float matrix."""
-    if len(col) == 0:
-        return np.zeros((0, dim))
-    return np.stack(col.to_numpy()).astype(np.float64, copy=False)
-
-
 # -- scatter_nbrs (data flow, send side) -------------------------------------
 
 
@@ -131,98 +112,24 @@ def scatter_messages(
     return msgs, None
 
 
-# -- gather_nbrs + aggregate (data flow + computation, receive side) ---------
+# -- gather_nbrs + aggregate + apply_node (receive side) ------------------------
 
 
-def _sort_msgs(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Fix the reduction order of a message batch.
-
-    Floating-point addition is not associative, so aggregating in shuffle
-    arrival order makes repeated runs differ in the last ulp. Sorting by
-    (dst, src) before every reduction makes results **bit-identical**
-    across runs — the consistency guarantee of §V-B1, at full strength.
-    """
-    keys = [k for k in ("dst", "src") if k in pdf.columns]
-    return pdf.sort_values(keys, kind="stable")
+def _bucket(col: str, n_buckets: int):
+    """Deterministic bucket of an id: fixes which nodes share a batch."""
+    return F.pmod(F.xxhash64(F.col(col)), F.lit(n_buckets))
 
 
-def _partial_stage(msgs: DataFrame, layer: GASLayer) -> DataFrame:
-    """Sender-side combine: one partial per ``(worker(src), dst)``.
-
-    This is the paper's *partial-gather* / Pregel-combiner stage — legal
-    because the layer's aggregate is commutative + associative. The
-    sender worker id rides along as ``src`` so the receiver's final merge
-    has a deterministic order too.
-    """
+def combine_messages(msgs: DataFrame, layer: GASLayer) -> DataFrame:
+    """Partial gather: lift messages sender-side to one partial per
+    ``(worker(src), dst)`` — the paper's combiner, legal for layers whose
+    aggregate is commutative + associative (``partial=True``)."""
     agg = layer.aggregator
-    out_schema = StructType(
-        [
-            StructField("src", LongType()),
-            StructField("dst", LongType()),
-            StructField("payload", ArrayType(DoubleType())),
-        ]
-    )
-
-    def combine(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = _sort_msgs(pdf)
-        dst = pdf["dst"].to_numpy()
-        uniq, seg = np.unique(dst, return_inverse=True)
-        partials = agg.lift_segments(_stack(pdf["payload"], agg.dim), seg, len(uniq))
-        return pd.DataFrame(
-            {"src": int(pdf["wsrc"].iloc[0]), "dst": uniq, "payload": list(partials)}
-        )
-
     return (
         msgs.withColumn("wsrc", worker_of(F.col("src")))
         .groupBy("wsrc")
-        .applyInPandas(combine, out_schema)
+        .applyInArrow(lambda tbl: kernel.combine(agg, tbl), kernel.MSG_SCHEMA)
     )
-
-
-def gather_aggregate(
-    msgs: DataFrame,
-    layer: GASLayer,
-    *,
-    partial_gather: bool,
-    n_buckets: int = 64,
-) -> tuple[DataFrame, bool]:
-    """Aggregate the message table down to ``(dst, aggr)``.
-
-    Returns ``(aggr_df, used_partial)``. For non-partial layers (union
-    aggregate) this is an identity — the caller must use the union path.
-    """
-    if not layer.partial:
-        return msgs, False
-    agg = layer.aggregator
-    lifted = False
-    if partial_gather:
-        msgs = _partial_stage(msgs, layer)
-        lifted = True
-    out_schema = StructType(
-        [StructField("dst", LongType()), StructField("aggr", ArrayType(DoubleType()))]
-    )
-
-    merge_partials = lifted  # captured, not a parameter: applyInPandas
-    # passes (key, pdf) to two-argument functions
-
-    def finish(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = _sort_msgs(pdf)
-        dst = pdf["dst"].to_numpy()
-        uniq, seg = np.unique(dst, return_inverse=True)
-        dim = agg.partial_dim if merge_partials else agg.dim
-        vals = _stack(pdf["payload"], dim)
-        if merge_partials:
-            partials = agg.merge_segments(vals, seg, len(uniq))
-        else:
-            partials = agg.lift_segments(vals, seg, len(uniq))
-        return pd.DataFrame({"dst": uniq, "aggr": list(agg.finalize(partials))})
-
-    aggr = (
-        msgs.withColumn("bkt", F.pmod(F.xxhash64(F.col("dst")), F.lit(n_buckets)))
-        .groupBy("bkt")
-        .applyInPandas(finish, out_schema)
-    )
-    return aggr, True
 
 
 def apply_layer(
@@ -233,63 +140,23 @@ def apply_layer(
     partial_gather: bool,
     n_buckets: int = 64,
 ) -> DataFrame:
-    """Run gather/aggregate/apply_node for one layer → new state table.
+    """Run gather → aggregate → apply_node for one layer → new state table.
 
-    ``state``: ``(id, h)``; ``msgs``: ``(src, dst, payload)``. Partial
-    layers reduce first and join the compact aggregate back to the state;
-    union layers cogroup raw messages with destination states and run
-    ``apply_node_union`` per destination bucket.
+    ``state``: ``(id, h)``; ``msgs``: ``(src, dst, payload)``. This is the
+    reduce phase: each bucket of node states is cogrouped with the
+    messages to its nodes — combined sender-side first under partial
+    gather — and :func:`kernel.update` aggregates and applies in one pass.
     """
-    bucket = lambda c: F.pmod(F.xxhash64(c), F.lit(n_buckets))  # noqa: E731
-
-    if layer.partial:
-        aggr, _ = gather_aggregate(msgs, layer, partial_gather=partial_gather, n_buckets=n_buckets)
-
-        def node_update(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-            if left.empty:
-                return pd.DataFrame({"id": [], "h": []}).astype({"id": "int64"})
-            # canonical row order: SIMD matmul kernels are not bit-stable
-            # under row permutation, and batch row order varies with
-            # shuffle arrival
-            left = left.sort_values("id", kind="stable")
-            h = _stack(left["h"], layer.in_dim)
-            ids = left["id"].to_numpy()
-            aggr_m = np.zeros((len(ids), layer.aggregator.dim))
-            if not right.empty:
-                pos = {v: i for i, v in enumerate(ids.tolist())}
-                idx = right["dst"].map(pos).to_numpy()
-                aggr_m[idx] = _stack(right["aggr"], layer.aggregator.dim)
-            new_h = layer.apply_node(h, aggr_m)
-            return pd.DataFrame({"id": ids, "h": list(new_h)})
-
-        return (
-            state.groupBy(bucket(F.col("id")))
-            .cogroup(aggr.groupBy(bucket(F.col("dst"))))
-            .applyInPandas(node_update, STATE_SCHEMA)
-        )
-
-    # union path (e.g. GAT): attention needs every message plus dst state
-    def union_update(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-        if left.empty:
-            return pd.DataFrame({"id": [], "h": []}).astype({"id": "int64"})
-        left = left.sort_values("id", kind="stable")  # bit-stable matmuls
-        ids = left["id"].to_numpy()
-        h = _stack(left["h"], layer.in_dim)
-        if right.empty:
-            m = np.zeros((0, layer.msg_dim))
-            seg = np.zeros(0, dtype=np.int64)
-        else:
-            right = _sort_msgs(right)
-            pos = {v: i for i, v in enumerate(ids.tolist())}
-            seg = right["dst"].map(pos).to_numpy(dtype=np.int64)
-            m = _stack(right["payload"], layer.msg_dim)
-        new_h = layer.apply_node_union(h, m, seg)
-        return pd.DataFrame({"id": ids, "h": list(new_h)})
-
+    combined = partial_gather and layer.partial
+    if combined:
+        msgs = combine_messages(msgs, layer)
     return (
-        state.groupBy(bucket(F.col("id")))
-        .cogroup(msgs.groupBy(bucket(F.col("dst"))))
-        .applyInPandas(union_update, STATE_SCHEMA)
+        state.groupBy(_bucket("id", n_buckets))
+        .cogroup(msgs.groupBy(_bucket("dst", n_buckets)))
+        .applyInArrow(
+            lambda verts, m: kernel.update(layer, verts, m, combined=combined),
+            kernel.STATE_SCHEMA,
+        )
     )
 
 
@@ -301,53 +168,23 @@ def apply_head(state: DataFrame, model: GNNModel, *, n_buckets: int = 64) -> Dat
     the final logits are bit-identical across runs (SIMD matmuls are not
     bit-stable under batch-composition changes).
     """
-    head = model.head
-    task = model.task
-    w, b = head.params["w"].data, head.params["b"].data
-    out_schema = StructType(
-        [
-            StructField("id", LongType()),
-            StructField("logits", ArrayType(DoubleType())),
-            StructField("pred", LongType() if task == "multiclass" else ArrayType(LongType())),
-        ]
-    )
-
-    def predict(pdf: pd.DataFrame) -> pd.DataFrame:
-        if pdf.empty:
-            return pd.DataFrame({"id": pd.Series(dtype="int64"), "logits": [], "pred": []})
-        pdf = pdf.sort_values("id", kind="stable")
-        h = _stack(pdf["h"], w.shape[0])
-        logits = h @ w + b
-        if task == "multiclass":
-            return pd.DataFrame(
-                {"id": pdf["id"], "logits": list(logits), "pred": logits.argmax(axis=1)}
-            )
-        return pd.DataFrame(
-            {
-                "id": pdf["id"],
-                "logits": list(logits),
-                "pred": list((logits > 0).astype("int64")),
-            }
-        )
-
-    return (
-        state.groupBy(F.pmod(F.xxhash64(F.col("id")), F.lit(n_buckets)))
-        .applyInPandas(predict, out_schema)
+    return state.groupBy(_bucket("id", n_buckets)).applyInArrow(
+        lambda tbl: kernel.head(model, tbl), kernel.head_schema(model.task)
     )
 
 
 def count_comm(
-    msgs: DataFrame, bcast: DataFrame | None, layer: GASLayer, *, partial_gather: bool
+    msgs: DataFrame, layer: GASLayer, *, partial_gather: bool, broadcast: bool
 ) -> tuple[int, int]:
     """Exact (rows, payload_floats) crossing logical workers this layer.
 
-    * broadcast on → the broadcast table carries the payloads; the edge
-      stream ships ids only.
-    * partial-gather on → payload rows are the sender-side partials,
-      one per ``(worker(src), dst)``.
+    * broadcast on (broadcastable layers) → a payload travels once per
+      ``(src, worker(dst))``; the edge stream ships ids only.
+    * partial-gather on (partial layers) → payload rows are the
+      sender-side partials, one per ``(worker(src), dst)``.
     """
-    if bcast is not None:
-        rows = int(bcast.count())
+    if broadcast and layer.broadcastable:
+        rows = int(msgs.select("src", worker_of(F.col("dst"))).distinct().count())
         return rows, rows * layer.msg_dim
     if layer.partial and partial_gather:
         rows = int(
@@ -363,9 +200,8 @@ def per_worker_io(msgs: DataFrame) -> pd.DataFrame:
     return (
         msgs.groupBy(worker_of(F.col("dst")).alias("worker"))
         .agg(F.count("*").alias("in_msgs"))
+        .orderBy("worker")
         .toPandas()
-        .sort_values("worker")
-        .reset_index(drop=True)
     )
 
 

@@ -1,0 +1,176 @@
+"""The bucket kernel: the per-batch GAS stages both backends run.
+
+A *bucket* is one batch of rows handed to Python by ``applyInArrow``: a
+group of messages, of node states, or both (cogrouped). This module is
+the only code that knows how a bucket looks on the wire and in what
+order it is reduced:
+
+* **Wire format.** Messages are :data:`MSG_SCHEMA` rows ``(src, dst,
+  payload)``; node states carry ``id`` and ``h``; vectors travel as
+  ``array<double>`` and are read as one ``[n, d]`` matrix with
+  :func:`to_matrix`, written back with :func:`from_matrix` — no per-row
+  Python objects.
+* **Reduction order.** Floating-point addition is not associative and
+  SIMD matmul kernels are not bit-stable under row permutation, while a
+  shuffle delivers rows in run-dependent order. Every reduction therefore
+  runs over messages sorted by ``(dst, src)`` and every matrix product over
+  states sorted by ``id``, which makes results bit-identical across runs
+  (§V-B1's consistency, at full strength).
+
+The three per-batch functions are :func:`combine` (sender-side partial
+gather), :func:`update` (gather → aggregate → apply_node, the receiver
+side of one layer) and :func:`head` (the prediction slice).
+"""
+from __future__ import annotations
+
+import numpy as np
+import pyarrow as pa
+from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
+
+from repro.core.gas import Aggregator, GASLayer
+from repro.core.model import GNNModel
+
+MSG_SCHEMA = StructType(
+    [
+        StructField("src", LongType()),
+        StructField("dst", LongType()),
+        StructField("payload", ArrayType(DoubleType())),
+    ]
+)
+STATE_SCHEMA = StructType(
+    [StructField("id", LongType()), StructField("h", ArrayType(DoubleType()))]
+)
+
+
+def head_schema(task: str) -> StructType:
+    """Output rows of :func:`head` for a model's ``task``."""
+    pred = LongType() if task == "multiclass" else ArrayType(LongType())
+    return StructType(
+        [
+            StructField("id", LongType()),
+            StructField("logits", ArrayType(DoubleType())),
+            StructField("pred", pred),
+        ]
+    )
+
+
+# -- wire format ---------------------------------------------------------------
+
+
+def to_matrix(col: pa.ChunkedArray | pa.Array, d: int) -> np.ndarray:
+    """``array<double>`` column → ``[n, d]`` float matrix.
+
+    Raises ``ValueError`` unless every row is a list of exactly ``d``
+    values.
+    """
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if col.null_count:
+        raise ValueError("null vector")
+    widths = np.diff(col.offsets.to_numpy())
+    bad = np.flatnonzero(widths != d)
+    if bad.size:
+        raise ValueError(f"vector of width {widths[bad[0]]} where width {d} is expected")
+    return col.flatten().to_numpy().reshape(len(col), d)
+
+
+def from_matrix(m: np.ndarray) -> pa.ListArray:
+    """``[n, d]`` matrix → list column, one row per matrix row."""
+    n, d = m.shape
+    offsets = pa.array(np.arange(0, (n + 1) * d, d, dtype=np.int32))
+    return pa.ListArray.from_arrays(offsets, pa.array(np.ascontiguousarray(m).ravel()))
+
+
+# -- canonical order and row mapping --------------------------------------------
+
+
+def order_by(tbl: pa.Table, *keys: str) -> np.ndarray:
+    """Row order sorting ``tbl`` by ``keys``, the first key most significant."""
+    return np.lexsort([tbl[k].to_numpy() for k in reversed(keys)])
+
+
+def rows(ids: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Row of each ``dst`` in the sorted id array ``ids``.
+
+    Raises ``ValueError`` naming the first ``dst`` that is not in ``ids``
+    (a message to a node the bucket does not hold).
+    """
+    pos = np.searchsorted(ids, dst)
+    found = pos < len(ids)
+    found[found] = ids[pos[found]] == dst[found]
+    if not found.all():
+        raise ValueError(f"message to unknown node id {dst[~found][0]}")
+    return pos
+
+
+def with_state(verts: pa.Table, h: np.ndarray) -> pa.Table:
+    """``verts`` with its ``h`` column replaced by the rows of ``h``."""
+    return verts.set_column(verts.schema.get_field_index("h"), "h", from_matrix(h))
+
+
+# -- the per-batch GAS stages ----------------------------------------------------
+
+
+def combine(agg: Aggregator, tbl: pa.Table) -> pa.Table:
+    """Sender-side lift: one partial per ``(sender worker, dst)``.
+
+    ``tbl`` holds raw messages plus their sender worker ``wsrc``. The
+    worker id rides on as ``src`` of the partial, so the receiver merges
+    partials in a fixed order too.
+    """
+    order = order_by(tbl, "wsrc", "dst", "src")
+    w, dst = tbl["wsrc"].to_numpy()[order], tbl["dst"].to_numpy()[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (w[1:] != w[:-1]) | (dst[1:] != dst[:-1])
+    seg = np.cumsum(starts) - 1
+    vals = to_matrix(tbl["payload"], agg.dim)[order]
+    partials = agg.lift_segments(vals, seg, int(starts.sum()))
+    return pa.table(
+        {"src": w[starts], "dst": dst[starts], "payload": from_matrix(partials)}
+    )
+
+
+def update(layer: GASLayer, verts: pa.Table, msgs: pa.Table, *, combined: bool) -> pa.Table:
+    """One layer's receiver side over a bucket of nodes and their messages.
+
+    ``verts`` holds ``id``, ``h`` and any columns to pass through;
+    ``msgs`` holds the messages to those nodes — raw payloads, or partials
+    from :func:`combine` when ``combined``. Partial layers reduce
+    (lift, or merge partials), finalize and ``apply_node``; a node without
+    messages gets a zero aggregate. Union layers hand every message to
+    ``apply_node_union``. Returns ``verts`` sorted by id with ``h``
+    replaced by the new state.
+    """
+    verts = verts.take(order_by(verts, "id"))
+    ids = verts["id"].to_numpy()
+    h = to_matrix(verts["h"], layer.in_dim)
+    order = order_by(msgs, "dst", "src")
+    seg = rows(ids, msgs["dst"].to_numpy()[order])
+    if not layer.partial:
+        vals = to_matrix(msgs["payload"], layer.msg_dim)[order]
+        return with_state(verts, layer.apply_node_union(h, vals, seg))
+    agg = layer.aggregator
+    if combined:
+        vals = to_matrix(msgs["payload"], agg.partial_dim)[order]
+        partials = agg.merge_segments(vals, seg, len(ids))
+    else:
+        vals = to_matrix(msgs["payload"], agg.dim)[order]
+        partials = agg.lift_segments(vals, seg, len(ids))
+    # finalize maps the empty partial of a node without messages to zeros
+    return with_state(verts, layer.apply_node(h, agg.finalize(partials)))
+
+
+def head(model: GNNModel, tbl: pa.Table) -> pa.Table:
+    """The prediction slice over a bucket of final states → ``(id, logits,
+    pred)``, rows sorted by id."""
+    tbl = tbl.take(order_by(tbl, "id"))
+    w, b = model.head.params["w"].data, model.head.params["b"].data
+    logits = to_matrix(tbl["h"], w.shape[0]) @ w + b
+    pred = model.predict(logits)
+    return pa.table(
+        {
+            "id": tbl["id"],
+            "logits": from_matrix(logits),
+            "pred": pred if pred.ndim == 1 else from_matrix(pred),
+        }
+    )

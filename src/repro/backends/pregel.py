@@ -15,10 +15,12 @@ per superstep, with the paper's combiner trick: the *aggregate* part of a
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import (
@@ -29,11 +31,13 @@ from pyspark.sql.types import (
     StructType,
 )
 
+from repro.backends import kernel
 from repro.backends.common import (
     RoundStats,
     RunStats,
     Timer,
     apply_head,
+    combine_messages,
     count_comm,
     worker_of,
 )
@@ -46,40 +50,59 @@ VERTEX_SCHEMA = StructType(
         StructField("id", LongType()),
         StructField("pid", LongType()),
         StructField("adj", ArrayType(LongType())),
-        StructField("state", ArrayType(DoubleType())),
-    ]
-)
-PMSG_SCHEMA = StructType(
-    [
-        StructField("src", LongType()),
-        StructField("dst", LongType()),
-        StructField("payload", ArrayType(DoubleType())),
+        StructField("h", ArrayType(DoubleType())),
     ]
 )
 
-# compute(step, vertices_pdf, messages_pdf) -> vertices_pdf with new `state`
-ComputeFn = Callable[[int, pd.DataFrame, pd.DataFrame], pd.DataFrame]
-# message payload from new state: (state_matrix [n,d]) -> payload matrix [n,m]
-PayloadFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# compute(step, vertices, messages) -> vertices with a new `h`, one
+# partition's Arrow tables in and out
+ComputeFn = Callable[[int, pa.Table, pa.Table], pa.Table]
 
 
 def build_vertices(
     spark: SparkSession, nodes: DataFrame, edges: DataFrame, *, state_col: str = "feat"
 ) -> DataFrame:
     """Partition the graph Pregel-style: each vertex row carries its id,
-    partition, out-adjacency list, and state (initialized from a node
-    column)."""
+    partition, out-adjacency list, and state ``h`` (initialized from a
+    node column)."""
     adj = edges.groupBy(F.col("src").alias("id")).agg(F.collect_list("dst").alias("adj"))
     return (
-        nodes.select("id", F.col(state_col).alias("state"))
+        nodes.select("id", F.col(state_col).alias("h"))
         .join(adj, "id", "left")
         .select(
             "id",
             worker_of(F.col("id")).alias("pid"),
             F.coalesce("adj", F.array().cast(ArrayType(LongType()))).alias("adj"),
-            "state",
+            "h",
         )
     )
+
+
+def _checkpoint(df: DataFrame) -> DataFrame:
+    """``df`` materialized in executor memory with its lineage cut.
+
+    localCheckpoint keeps the partitioned state resident (the Pregel
+    property) AND truncates plan lineage — without it, iterative
+    supersteps nest plans until the driver OOMs. Release with
+    :func:`_release`, also when materializing fails."""
+    cp = df.localCheckpoint(eager=False)
+    try:
+        _blocks(cp).count()  # one job, as an eager checkpoint runs
+    except BaseException:
+        _release(cp)
+        raise
+    return cp
+
+
+def _blocks(cp: DataFrame):
+    """The JVM RDD holding a local checkpoint's blocks."""
+    return cp._jdf.queryExecution().analyzed().rdd()
+
+
+def _release(cp: DataFrame) -> None:
+    """Drop a :func:`_checkpoint` frame's blocks, which
+    ``DataFrame.unpersist`` does not reach."""
+    _blocks(cp).unpersist(False)
 
 
 class Pregel:
@@ -88,15 +111,12 @@ class Pregel:
     def __init__(self, spark: SparkSession, vertices: DataFrame, *, n_partitions: int = 16):
         self.spark = spark
         self.n_partitions = n_partitions
-        # localCheckpoint keeps the partitioned state resident in executor
-        # memory (the Pregel property) AND truncates plan lineage — without
-        # it, iterative supersteps nest plans until the driver OOMs.
-        self.vertices = vertices.repartition(n_partitions, "pid").localCheckpoint(eager=True)
+        self.vertices = _checkpoint(vertices.repartition(n_partitions, "pid"))
 
     def scatter(self, vertices: DataFrame) -> DataFrame:
-        """send_message over all out-edges: (src, dst, payload=state)."""
+        """send_message over all out-edges: (src, dst, payload=h)."""
         return vertices.select(
-            F.col("id").alias("src"), F.explode("adj").alias("dst"), F.col("state").alias("payload")
+            F.col("id").alias("src"), F.explode("adj").alias("dst"), F.col("h").alias("payload")
         )
 
     def superstep(
@@ -112,29 +132,28 @@ class Pregel:
         if combiner is not None:
             messages = combiner(messages)
         delivered = messages.withColumn("pid", worker_of(F.col("dst")))
-
-        def run(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-            if left.empty:
-                return left
-            return compute(step, left, right)
-
         old = self.vertices
-        new_vertices = (
+        self.vertices = _checkpoint(
             old.groupBy("pid")
             .cogroup(delivered.groupBy("pid"))
-            .applyInPandas(run, VERTEX_SCHEMA)
+            .applyInArrow(lambda verts, msgs: compute(step, verts, msgs), VERTEX_SCHEMA)
             .repartition(self.n_partitions, "pid")
-            .localCheckpoint(eager=True)
         )
-        old.unpersist(blocking=False)  # release the previous superstep's blocks
-        self.vertices = new_vertices
-        return new_vertices
+        _release(old)  # the previous superstep's blocks
+        return self.vertices
 
     def stop(self) -> None:
-        self.vertices.unpersist(blocking=False)
+        _release(self.vertices)
 
 
 # -- classic vertex programs (substrate validation) ---------------------------
+
+
+def _incoming(verts: pa.Table, msgs: pa.Table) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+    """``verts`` sorted by id, and the row and scalar payload of each message."""
+    verts = verts.take(kernel.order_by(verts, "id"))
+    seg = kernel.rows(verts["id"].to_numpy(), msgs["dst"].to_numpy())
+    return verts, seg, kernel.to_matrix(msgs["payload"], 1)[:, 0]
 
 
 def pagerank(
@@ -147,61 +166,36 @@ def pagerank(
 ) -> DataFrame:
     """PageRank as a Pregel vertex program → (id, rank)."""
     n = nodes.count()
-    verts = build_vertices(
-        spark, nodes.select("id", F.array(F.lit(1.0)).alias("r")), edges, state_col="r"
-    )
-    eng = Pregel(spark, verts)
+    verts = build_vertices(spark, nodes.select("id", F.lit(1.0 / n).alias("r")), edges, state_col="r")
+    # state = (rank, share per out-edge); the first superstep has no
+    # incoming messages, so seed rank 1/n and its share
+    share = F.col("h") / F.greatest(F.size("adj"), F.lit(1))
+    eng = Pregel(spark, verts.withColumn("h", F.array("h", share)))
 
-    def compute(step: int, verts: pd.DataFrame, msgs: pd.DataFrame) -> pd.DataFrame:
-        ids = verts["id"].to_numpy()
-        incoming = np.zeros(len(ids))
-        if not msgs.empty:
-            pos = {v: i for i, v in enumerate(ids.tolist())}
-            seg = msgs["dst"].map(pos).to_numpy(dtype=np.int64)
-            np.add.at(incoming, seg, np.stack(msgs["payload"].to_numpy())[:, 0])
+    def compute(step: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
+        verts, seg, share_in = _incoming(verts, msgs)
+        incoming = np.zeros(verts.num_rows)
+        np.add.at(incoming, seg, share_in)
         rank = (1 - damping) / n + damping * incoming
-        deg = verts["adj"].map(len).to_numpy()
-        share = rank / np.maximum(deg, 1)
-        out = verts.copy()
-        out["state"] = [[r, s] for r, s in zip(rank, share)]
-        return out
+        deg = pc.list_value_length(verts["adj"]).to_numpy()
+        return kernel.with_state(verts, np.column_stack([rank, rank / np.maximum(deg, 1)]))
 
     def combiner(msgs: DataFrame) -> DataFrame:
         return msgs.groupBy("dst").agg(
             F.array(F.sum(F.col("payload")[0])).alias("payload")
         ).withColumn("src", F.lit(-1)).select("src", "dst", "payload")
 
-    # first superstep has no incoming messages: seed rank 1/n and share
-    verts0 = eng.vertices
-
-    def seed(it):
-        for pdf in it:
-            if pdf.empty:
-                yield pdf
-                continue
-            deg = pdf["adj"].map(len).to_numpy()
-            share = (1.0 / n) / np.maximum(deg, 1)
-            pdf = pdf.copy()
-            pdf["state"] = [[1.0 / n, s] for s in share]
-            yield pdf
-
-    eng.vertices = (
-        verts0.mapInPandas(seed, VERTEX_SCHEMA)
-        .repartition(eng.n_partitions, "pid")
-        .localCheckpoint(eager=True)
-    )
-    verts0.unpersist(blocking=False)
-
-    for step in range(iterations):
-        msgs = eng.vertices.select(
-            F.col("id").alias("src"),
-            F.explode("adj").alias("dst"),
-            F.array(F.col("state")[1]).alias("payload"),
-        )
-        eng.superstep(step, msgs, compute, combiner=combiner)
-    out = eng.vertices.select("id", F.col("state")[0].alias("rank"))
-    result = out.toPandas()
-    eng.stop()
+    try:
+        for step in range(iterations):
+            msgs = eng.vertices.select(
+                F.col("id").alias("src"),
+                F.explode("adj").alias("dst"),
+                F.array(F.col("h")[1]).alias("payload"),
+            )
+            eng.superstep(step, msgs, compute, combiner=combiner)
+        result = eng.vertices.select("id", F.col("h")[0].alias("rank")).toPandas()
+    finally:
+        eng.stop()
     return spark.createDataFrame(result)
 
 
@@ -224,18 +218,11 @@ def sssp(
     )
     eng = Pregel(spark, verts)
 
-    def compute(step: int, verts: pd.DataFrame, msgs: pd.DataFrame) -> pd.DataFrame:
-        dist = np.stack(verts["state"].to_numpy())[:, 0]
-        if not msgs.empty:
-            ids = verts["id"].to_numpy()
-            pos = {v: i for i, v in enumerate(ids.tolist())}
-            seg = msgs["dst"].map(pos).to_numpy(dtype=np.int64)
-            cand = np.full(len(ids), INF)
-            np.minimum.at(cand, seg, np.stack(msgs["payload"].to_numpy())[:, 0])
-            dist = np.minimum(dist, cand)
-        out = verts.copy()
-        out["state"] = [[d] for d in dist]
-        return out
+    def compute(step: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
+        verts, seg, cand_in = _incoming(verts, msgs)
+        dist = kernel.to_matrix(verts["h"], 1)[:, 0].copy()
+        np.minimum.at(dist, seg, cand_in)
+        return kernel.with_state(verts, dist[:, None])
 
     def combiner(msgs: DataFrame) -> DataFrame:
         return (
@@ -245,21 +232,20 @@ def sssp(
             .select("src", "dst", "payload")
         )
 
-    for step in range(max_steps):
-        msgs = eng.vertices.filter(F.col("state")[0] < INF).select(
-            F.col("id").alias("src"),
-            F.explode("adj").alias("dst"),
-            F.array(F.col("state")[0] + 1).alias("payload"),
-        )
-        eng.superstep(step, msgs, compute, combiner=combiner)
-    out = eng.vertices.select(
-        "id",
-        F.when(F.col("state")[0] >= INF, F.lit(-1.0))
-        .otherwise(F.col("state")[0])
-        .alias("dist"),
-    )
-    result = out.toPandas()
-    eng.stop()
+    try:
+        for step in range(max_steps):
+            msgs = eng.vertices.filter(F.col("h")[0] < INF).select(
+                F.col("id").alias("src"),
+                F.explode("adj").alias("dst"),
+                F.array(F.col("h")[0] + 1).alias("payload"),
+            )
+            eng.superstep(step, msgs, compute, combiner=combiner)
+        result = eng.vertices.select(
+            "id",
+            F.when(F.col("h")[0] >= INF, F.lit(-1.0)).otherwise(F.col("h")[0]).alias("dist"),
+        ).toPandas()
+    finally:
+        eng.stop()
     return spark.createDataFrame(result)
 
 
@@ -279,9 +265,9 @@ def infer_pregel(
     """Full-graph GNN inference, one GAS layer per superstep.
 
     Superstep k delivers layer k's messages, runs *gather → aggregate →
-    apply_node* in ``compute()``, and scatters layer k+1's messages via
-    the out-adjacency each vertex holds. The combiner performs the
-    *aggregate* stage sender-side when the layer allows it
+    apply_node* (:func:`kernel.update`) per partition, and scatters layer
+    k+1's messages via the out-adjacency each vertex holds. The combiner
+    performs the *aggregate* stage sender-side when the layer allows it
     (``partial=True`` + partial_gather strategy).
     """
     stats = RunStats(backend="pregel")
@@ -290,110 +276,31 @@ def infer_pregel(
             thr = shadow.shadow_threshold(edges.count(), n_workers, strategies.shadow_lambda)
             nodes, edges, _ = shadow.apply_shadow_nodes(nodes, edges, threshold=thr)
         eng = Pregel(spark, build_vertices(spark, nodes, edges), n_partitions=n_workers)
-
-        for k, layer in enumerate(model.layers):
-            msgs = eng.vertices.select(
-                F.col("id").alias("src"), F.explode("adj").alias("dst"), F.col("state").alias("payload")
-            )
-            bcast = None
-            if strategies.broadcast and layer.broadcastable:
-                # payloads travel once per (src, receiver-partition)
-                bcast = (
-                    eng.vertices.select(
-                        F.col("id").alias("src"), F.explode("adj").alias("dst"), "state"
+        try:
+            for k, layer in enumerate(model.layers):
+                msgs = eng.scatter(eng.vertices)
+                if instrument:
+                    rows, floats = count_comm(
+                        msgs,
+                        layer,
+                        partial_gather=strategies.partial_gather,
+                        broadcast=strategies.broadcast,
                     )
-                    .select("src", worker_of(F.col("dst")).alias("wdst"), "state")
-                    .dropDuplicates(["src", "wdst"])
-                )
-            if instrument:
-                rows, floats = count_comm(
-                    msgs, bcast, layer, partial_gather=strategies.partial_gather and layer.partial
-                )
-                stats.rounds.append(RoundStats(layer=k, msg_rows=rows, msg_floats=floats))
+                    stats.rounds.append(RoundStats(layer=k, msg_rows=rows, msg_floats=floats))
+                combined = strategies.partial_gather and layer.partial
 
-            combiner = None
-            if strategies.partial_gather and layer.partial:
-                agg = layer.aggregator
+                def compute(step, verts, msgs, layer=layer, combined=combined):
+                    return kernel.update(layer, verts, msgs, combined=combined)
 
-                def combine_fn(msgs_df: DataFrame, agg=agg) -> DataFrame:
-                    def combine(pdf: pd.DataFrame) -> pd.DataFrame:
-                        from repro.backends.common import _sort_msgs
+                combiner = partial(combine_messages, layer=layer) if combined else None
+                eng.superstep(k, msgs, compute, combiner=combiner)
 
-                        pdf = _sort_msgs(pdf)
-                        dst = pdf["dst"].to_numpy()
-                        uniq, seg = np.unique(dst, return_inverse=True)
-                        partials = agg.lift_segments(
-                            np.stack(pdf["payload"].to_numpy()), seg, len(uniq)
-                        )
-                        # sender worker id rides as src so the receiver's
-                        # final merge has a deterministic order too
-                        return pd.DataFrame(
-                            {
-                                "src": int(pdf["wsrc"].iloc[0]),
-                                "dst": uniq,
-                                "payload": list(partials),
-                            }
-                        )
-
-                    return (
-                        msgs_df.withColumn("wsrc", worker_of(F.col("src")))
-                        .groupBy("wsrc")
-                        .applyInPandas(combine, PMSG_SCHEMA)
-                    )
-
-                combiner = combine_fn
-
-            def compute(
-                step: int,
-                verts: pd.DataFrame,
-                msgs_pdf: pd.DataFrame,
-                layer=layer,
-                combined=combiner is not None,
-            ) -> pd.DataFrame:
-                from repro.backends.common import _sort_msgs
-
-                if not msgs_pdf.empty:
-                    msgs_pdf = _sort_msgs(msgs_pdf)  # bit-deterministic reduce
-                verts = verts.sort_values("id", kind="stable")  # bit-stable matmuls
-                ids = verts["id"].to_numpy()
-                h = np.stack(verts["state"].to_numpy())
-                pos = {v: i for i, v in enumerate(ids.tolist())}
-                if layer.partial:
-                    agg = layer.aggregator
-                    aggr = np.zeros((len(ids), agg.dim))
-                    if not msgs_pdf.empty:
-                        seg = msgs_pdf["dst"].map(pos).to_numpy(dtype=np.int64)
-                        vals = np.stack(msgs_pdf["payload"].to_numpy())
-                        if combined:
-                            partials = agg.merge_segments(vals, seg, len(ids))
-                        else:
-                            partials = agg.lift_segments(vals, seg, len(ids))
-                        got = np.zeros(len(ids), dtype=bool)
-                        got[np.unique(seg)] = True
-                        fin = agg.finalize(partials)
-                        aggr[got] = fin[got]
-                    new_h = layer.apply_node(h, aggr)
-                else:
-                    if msgs_pdf.empty:
-                        m = np.zeros((0, layer.msg_dim))
-                        seg = np.zeros(0, dtype=np.int64)
-                    else:
-                        seg = msgs_pdf["dst"].map(pos).to_numpy(dtype=np.int64)
-                        m = np.stack(msgs_pdf["payload"].to_numpy())
-                    new_h = layer.apply_node_union(h, m, seg)
-                out = verts.copy()
-                out["state"] = list(new_h)
-                return out
-
-            eng.superstep(k, msgs, compute, combiner=combiner)
-
-        result = apply_head(
-            eng.vertices.select("id", F.col("state").alias("h")), model
-        )
-        if strategies.shadow_nodes:
-            result = shadow.drop_mirrors(result)
-        pdf = result.toPandas()
-        eng.stop()
+            result = apply_head(eng.vertices.select("id", "h"), model)
+            if strategies.shadow_nodes:
+                result = shadow.drop_mirrors(result)
+            pdf = result.toPandas()
+        finally:
+            eng.stop()
         result = spark.createDataFrame(pdf)
     stats.wall_s = t.wall_s
     return result, stats

@@ -9,7 +9,6 @@ from repro.backends.common import (
     RoundStats,
     RunStats,
     apply_head,
-    gather_aggregate,
     scatter_messages,
     worker_of,
 )
@@ -58,45 +57,6 @@ def test_scatter_payload_is_source_state(spark, graph):
     row = msgs.first()
     feat = nodes.filter(F.col("id") == row["src"]).first()["feat"]
     np.testing.assert_allclose(row["payload"], feat)
-
-
-@pytest.mark.parametrize("agg", ["mean", "sum", "max"])
-@pytest.mark.parametrize("partial_gather", [False, True])
-def test_gather_aggregate_matches_local(spark, graph, agg, partial_gather):
-    """Distributed aggregation == NumPy aggregation, with and without the
-    two-stage (partial-gather) plan."""
-    nodes, edges = graph
-    state = nodes.select("id", F.col("feat").alias("h"))
-    layer = SAGEConv(6, 8, agg=agg)
-    msgs, _ = scatter_messages(edges, state, layer, broadcast=False)
-    aggr_df, used = gather_aggregate(
-        msgs, layer, partial_gather=partial_gather, n_buckets=8
-    )
-    assert used
-    got = aggr_df.toPandas().sort_values("dst")
-
-    npdf = nodes.toPandas().sort_values("id")
-    feat = np.stack(npdf["feat"].to_numpy())
-    epdf = edges.toPandas()
-    n = len(npdf)
-    a = layer.aggregator
-    expect = a.finalize(
-        a.lift_segments(feat[epdf["src"].to_numpy()], epdf["dst"].to_numpy(), n)
-    )
-    idx = got["dst"].to_numpy()
-    np.testing.assert_allclose(np.stack(got["aggr"].to_numpy()), expect[idx], atol=1e-10)
-    assert set(idx) == set(epdf["dst"].unique())
-
-
-def test_gather_aggregate_union_passthrough(spark, graph):
-    from repro.core.gat import GATConv
-
-    nodes, edges = graph
-    state = nodes.select("id", F.col("feat").alias("h"))
-    layer = GATConv(6, 8, heads=2)
-    msgs, _ = scatter_messages(edges, state, layer, broadcast=False)
-    out, used = gather_aggregate(msgs, layer, partial_gather=True)
-    assert not used and out is msgs
 
 
 def test_apply_head_multiclass(spark, graph):

@@ -68,10 +68,20 @@ def test_pregel_matches_reference(spark, graph, model_key):
     _check(result, ref)
 
 
-@pytest.mark.parametrize("strat_key", [k for k in STRATS if k != "none"])
-def test_mr_strategies_preserve_results_sage(spark, graph, tmp_path, strat_key):
+# every pooling aggregator under every strategy, lifted on the receiver
+# and merged from sender-side partials; the mean-pool ids stay bare
+SAGE_STRATS = [
+    pytest.param(m, s, id=s if m == "sage" else f"{m}-{s}")
+    for m in ("sage", "sage_sum", "sage_max")
+    for s in STRATS
+    if s != "none"
+]
+
+
+@pytest.mark.parametrize("model_key,strat_key", SAGE_STRATS)
+def test_mr_strategies_preserve_results_sage(spark, graph, tmp_path, model_key, strat_key):
     nodes, edges, g = graph
-    model = MODELS["sage"]()
+    model = MODELS[model_key]()
     ref = forward_full(model, g)
     result, _ = infer_mr(
         spark,
@@ -85,10 +95,10 @@ def test_mr_strategies_preserve_results_sage(spark, graph, tmp_path, strat_key):
     _check(result, ref)
 
 
-@pytest.mark.parametrize("strat_key", [k for k in STRATS if k != "none"])
-def test_pregel_strategies_preserve_results_sage(spark, graph, strat_key):
+@pytest.mark.parametrize("model_key,strat_key", SAGE_STRATS)
+def test_pregel_strategies_preserve_results_sage(spark, graph, model_key, strat_key):
     nodes, edges, g = graph
-    model = MODELS["sage"]()
+    model = MODELS[model_key]()
     ref = forward_full(model, g)
     result, _ = infer_pregel(spark, nodes, edges, model, strategies=STRATS[strat_key])
     _check(result, ref)

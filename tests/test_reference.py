@@ -19,6 +19,12 @@ def graph(spark):
     return nodes, edges, LocalGraph.from_spark(nodes, edges)
 
 
+def _run_dir(workdir):
+    """The subdirectory one infer_mr run wrote its rounds to."""
+    (run,) = workdir.iterdir()
+    return run
+
+
 @pytest.mark.parametrize("builder", [build_sage, build_gat])
 def test_round_states_match_reference_layers(spark, graph, tmp_path, builder):
     nodes, edges, g = graph
@@ -26,7 +32,7 @@ def test_round_states_match_reference_layers(spark, graph, tmp_path, builder):
     infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr", n_buckets=8)
     ref_layers = embeddings_per_layer(model, g)
     for k in (1, 2):
-        state = spark.read.parquet(str(tmp_path / "mr" / f"state_{k}.parquet"))
+        state = spark.read.parquet(str(_run_dir(tmp_path / "mr") / f"state_{k}.parquet"))
         pdf = state.toPandas().sort_values("id")
         got = np.stack(pdf["h"].to_numpy())
         np.testing.assert_allclose(
@@ -38,7 +44,7 @@ def test_round_zero_state_is_raw_features(spark, graph, tmp_path):
     nodes, edges, g = graph
     model = build_sage(6, 8, 3, seed=9)
     infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr", n_buckets=8)
-    state0 = spark.read.parquet(str(tmp_path / "mr" / "state_0.parquet"))
+    state0 = spark.read.parquet(str(_run_dir(tmp_path / "mr") / "state_0.parquet"))
     pdf = state0.toPandas().sort_values("id")
     np.testing.assert_allclose(
         np.stack(pdf["h"].to_numpy()), g.feat[pdf["id"].to_numpy()], atol=1e-12

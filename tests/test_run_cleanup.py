@@ -1,0 +1,58 @@
+"""Inference runs leave the caller's files alone, and release what they
+create when they fail (Parquet rounds) or finish (resident vertex state)."""
+import pytest
+
+from repro.backends.mapreduce import infer_mr
+from repro.backends.pregel import infer_pregel
+from repro.core.model import build_sage
+from repro.graphs.generators import power_law_graph
+
+
+@pytest.fixture(scope="module")
+def graph(spark):
+    return power_law_graph(spark, n_nodes=80, avg_degree=4, feat_dim=6, seed=9)
+
+
+def _persistent_rdds(spark) -> set:
+    return set(dict(spark.sparkContext._jsc.getPersistentRDDs()).keys())
+
+
+def _run(backend, spark, nodes, edges, model, workdir):
+    if backend == "mr":
+        return infer_mr(spark, nodes, edges, model, workdir=workdir, n_buckets=8)
+    return infer_pregel(spark, nodes, edges, model)
+
+
+def test_mr_keeps_callers_files(spark, graph, tmp_path):
+    nodes, edges = graph
+    sentinel = tmp_path / "keep.txt"
+    sentinel.write_text("mine")
+    for _ in range(2):
+        result, _ = infer_mr(
+            spark, nodes, edges, build_sage(6, 10, 4), workdir=tmp_path, n_buckets=8
+        )
+        assert result.count() == nodes.count()
+    assert sentinel.read_text() == "mine"
+    runs = [p for p in tmp_path.iterdir() if p.is_dir()]
+    assert len(runs) == 2  # one subdirectory per run, each with its rounds
+    for run in runs:
+        assert (run / "state_1.parquet").is_dir() and (run / "result.parquet").is_dir()
+
+
+@pytest.mark.parametrize("backend", ["mr", "pregel"])
+def test_failed_run_leaves_nothing_behind(spark, graph, tmp_path, backend):
+    nodes, edges = graph  # 6-wide features
+    model = build_sage(7, 10, 4)
+    before = set(tmp_path.iterdir()), _persistent_rdds(spark)
+    with pytest.raises(Exception, match="width 6 where width 7 is expected"):
+        _run(backend, spark, nodes, edges, model, tmp_path)
+    assert set(tmp_path.iterdir()) == before[0]
+    assert _persistent_rdds(spark) <= before[1]
+
+
+def test_pregel_releases_vertex_state(spark, graph):
+    nodes, edges = graph
+    before = _persistent_rdds(spark)
+    result, _ = infer_pregel(spark, nodes, edges, build_sage(6, 10, 4))
+    assert result.count() == nodes.count()
+    assert _persistent_rdds(spark) <= before

@@ -7,6 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.backends.common import N_WORKERS, count_comm, scatter_messages, worker_of
 from repro.backends.mapreduce import infer_mr
+from repro.backends.pregel import infer_pregel
 from repro.core.model import build_sage
 from repro.graphs.generators import power_law_graph
 from repro.oracle import assert_equivalent
@@ -70,6 +71,27 @@ def test_baseline_message_count_equals_edges(spark, in_skewed, model, tmp_path):
     assert base.total_msg_rows == model.n_layers * e
 
 
+@pytest.mark.parametrize(
+    "strat",
+    [
+        StrategyConfig.none(),
+        StrategyConfig(partial_gather=True),
+        StrategyConfig(broadcast=True),
+        StrategyConfig.all(),
+    ],
+    ids=["none", "pg", "bc", "all"],
+)
+def test_pregel_and_mr_account_the_same_traffic(spark, in_skewed, model, tmp_path, strat):
+    nodes, edges = in_skewed
+    _, mr = infer_mr(
+        spark, nodes, edges, model, workdir=tmp_path, strategies=strat, n_buckets=8,
+        instrument=True,
+    )
+    _, pregel = infer_pregel(spark, nodes, edges, model, strategies=strat, instrument=True)
+    assert pregel.total_msg_rows == mr.total_msg_rows
+    assert pregel.total_msg_bytes == mr.total_msg_bytes
+
+
 def test_partial_gather_count_oracle(spark, in_skewed, model):
     """Partial rows = distinct (sender worker, dst). Export the worker
     column and let DuckDB recompute the count."""
@@ -86,7 +108,7 @@ def test_partial_gather_count_oracle(spark, in_skewed, model):
         "(select w, dst from tagged group by w, dst)",
         tagged=tagged,
     )
-    rows, _ = count_comm(msgs, None, model.layers[0], partial_gather=True)
+    rows, _ = count_comm(msgs, model.layers[0], partial_gather=True, broadcast=False)
     assert rows == tagged.select("w", "dst").distinct().count()
 
 
@@ -102,6 +124,8 @@ def test_broadcast_count_oracle(spark, out_skewed, model):
         "select count(*) as bcast_rows from (select src, w from tagged group by src, w)",
         tagged=tagged,
     )
+    rows, _ = count_comm(msgs, model.layers[0], partial_gather=False, broadcast=True)
+    assert rows == bcast.count()
 
 
 def test_broadcast_messages_still_cover_all_edges(spark, out_skewed, model):
@@ -120,7 +144,7 @@ def test_broadcast_messages_still_cover_all_edges(spark, out_skewed, model):
 def test_tail_worker_io_shrinks_with_partial_gather(spark, in_skewed, model):
     """Fig. 9/11's point: the busiest receiver worker's in-message count
     collapses once aggregation happens sender-side."""
-    from repro.backends.common import gather_aggregate, per_worker_io
+    from repro.backends.common import per_worker_io
 
     nodes, edges = in_skewed
     state = nodes.select("id", F.col("feat").alias("h"))
