@@ -4,8 +4,9 @@
   Spark) backend: node state round-trips through external storage
   (Parquet) between layers.
 * :mod:`repro.backends.pregel` — the Pregel-like graph-processing
-  backend: vertex state + out-adjacency stay resident and co-partitioned
-  across supersteps; only messages shuffle; combiners supported.
+  backend: vertex state + out-adjacency stay resident across supersteps;
+  each superstep is one exchange plus one pass per logical worker, and
+  only messages move between workers, combined at the sender.
 * :mod:`repro.backends.khop` — the *traditional* pipeline baseline
   (PyG/DGL stand-in): sampled k-hop neighborhood construction plus
   per-target localized forward, with all its redundant computation.

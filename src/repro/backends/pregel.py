@@ -1,17 +1,29 @@
 """The Pregel-like graph-processing backend — paper §IV-C1.
 
-A generic superstep engine (:class:`Pregel`) in the "think-like-a-vertex"
-style: the graph is hash-partitioned by node id; each partition holds its
-vertices' state **and their out-adjacency** ("structure and feature
-information stored in one place"); between supersteps only messages move,
-optionally pre-reduced by a sender-side *combiner*. Vertex state stays
-persisted and co-partitioned across supersteps — the property that makes
-this backend faster but more memory-hungry than the MapReduce one.
+A superstep engine (:class:`Pregel`) in the "think-like-a-vertex" style.
+Each logical worker ``pid = worker(id)`` holds its vertices' state **and
+their out-adjacency** ("structure and feature information stored in one
+place"). Between supersteps the engine keeps one checkpointed *frame*
+with two kinds of rows: vertex rows ``(id, pid, adj, h)`` and the message
+rows ``(src, dst, payload)`` those vertices sent, each kind's columns null
+in the other kind's rows.
+
+A superstep is one Python pass per logical worker over its vertices plus
+the messages addressed to them: ``compute`` applies the messages, then
+sends the next superstep's messages from the new state — pre-reduced per
+``(sender worker, dst)`` in the same pass when a combiner applies, so raw
+per-edge messages never leave Python. One Spark exchange per superstep
+routes every row to its group: a message to the worker of its ``dst``, a
+vertex row to its own ``pid``. Only messages move between logical
+workers; vertex rows cross the exchange too, once, into their own
+worker's group, because ``localCheckpoint`` forgets the partitioning the
+planner would need to skip it.
 
 The engine is validated on classic vertex programs (PageRank, SSSP — see
 tests) before carrying GNNs; :func:`infer_pregel` then runs one GAS layer
-per superstep, with the paper's combiner trick: the *aggregate* part of a
-``partial=True`` layer runs in the combiner.
+per superstep with the paper's combiner trick — the *aggregate* part of a
+``partial=True`` layer runs sender-side — and the last superstep applies
+the prediction head.
 """
 from __future__ import annotations
 
@@ -23,6 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import (
     ArrayType,
     DoubleType,
@@ -32,15 +45,8 @@ from pyspark.sql.types import (
 )
 
 from repro.backends import kernel
-from repro.backends.common import (
-    RoundStats,
-    RunStats,
-    Timer,
-    apply_head,
-    combine_messages,
-    count_comm,
-    worker_of,
-)
+from repro.backends.common import RoundStats, RunStats, Timer, count_comm, worker_of
+from repro.core.gas import Aggregator
 from repro.core.model import GNNModel
 from repro.graphs import shadow
 from repro.strategies import StrategyConfig
@@ -53,9 +59,13 @@ VERTEX_SCHEMA = StructType(
         StructField("h", ArrayType(DoubleType())),
     ]
 )
+FRAME_SCHEMA = StructType(VERTEX_SCHEMA.fields + kernel.MSG_SCHEMA.fields)
+_ARROW_FRAME = to_arrow_schema(FRAME_SCHEMA)
 
-# compute(step, vertices, messages) -> vertices with a new `h`, one
-# partition's Arrow tables in and out
+# send(vertices) -> the messages they send, one logical worker's Arrow tables
+SendFn = Callable[[pa.Table], pa.Table]
+# compute(step, vertices, messages) -> the next frame (see frame()), or the
+# rows of a last superstep's output schema
 ComputeFn = Callable[[int, pa.Table, pa.Table], pa.Table]
 
 
@@ -63,8 +73,8 @@ def build_vertices(
     spark: SparkSession, nodes: DataFrame, edges: DataFrame, *, state_col: str = "feat"
 ) -> DataFrame:
     """Partition the graph Pregel-style: each vertex row carries its id,
-    partition, out-adjacency list, and state ``h`` (initialized from a
-    node column)."""
+    logical worker, out-adjacency list, and state ``h`` (initialized from
+    a node column)."""
     adj = edges.groupBy(F.col("src").alias("id")).agg(F.collect_list("dst").alias("adj"))
     return (
         nodes.select("id", F.col(state_col).alias("h"))
@@ -78,13 +88,60 @@ def build_vertices(
     )
 
 
+# -- the frame, on the Python side ----------------------------------------------
+
+
+def frame(verts: pa.Table, msgs: pa.Table | None = None) -> pa.Table:
+    """Vertex rows and the message rows they send, stacked as one frame."""
+
+    def rows(tbl: pa.Table, names: list[str]) -> pa.Table:
+        cols = [
+            tbl[f.name].cast(f.type) if f.name in names else pa.nulls(tbl.num_rows, f.type)
+            for f in _ARROW_FRAME
+        ]
+        return pa.table(cols, schema=_ARROW_FRAME)
+
+    parts = [rows(verts, VERTEX_SCHEMA.names)]
+    if msgs is not None:
+        parts.append(rows(msgs, kernel.MSG_SCHEMA.names))
+    return pa.concat_tables(parts)
+
+
+def _split(tbl: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """A frame group's vertex rows and message rows."""
+    is_vertex = pc.is_valid(tbl["id"])
+    return (
+        tbl.filter(is_vertex).select(VERTEX_SCHEMA.names),
+        tbl.filter(pc.invert(is_vertex)).select(kernel.MSG_SCHEMA.names),
+    )
+
+
+def out_messages(verts: pa.Table, payload: pa.Array | pa.ChunkedArray) -> pa.Table:
+    """One message per out-edge of ``verts``, carrying the sender's row of
+    ``payload``: ``(wsrc, src, dst, payload)``, ``wsrc`` being the sender's
+    worker as :func:`kernel.combine` expects."""
+    adj = verts["adj"].combine_chunks()
+    row = pc.list_parent_indices(adj)
+    return pa.table(
+        {
+            "wsrc": verts["pid"].take(row),
+            "src": verts["id"].take(row),
+            "dst": pc.list_flatten(adj),
+            "payload": payload.take(row),
+        }
+    )
+
+
+# -- the engine --------------------------------------------------------------------
+
+
 def _checkpoint(df: DataFrame) -> DataFrame:
     """``df`` materialized in executor memory with its lineage cut.
 
-    localCheckpoint keeps the partitioned state resident (the Pregel
-    property) AND truncates plan lineage — without it, iterative
-    supersteps nest plans until the driver OOMs. Release with
-    :func:`_release`, also when materializing fails."""
+    localCheckpoint keeps the state resident (the Pregel property) AND
+    truncates plan lineage — without it, iterative supersteps nest plans
+    until the driver OOMs. Release with :func:`_release`, also when
+    materializing fails."""
     cp = df.localCheckpoint(eager=False)
     try:
         _blocks(cp).count()  # one job, as an eager checkpoint runs
@@ -106,54 +163,83 @@ def _release(cp: DataFrame) -> None:
 
 
 class Pregel:
-    """Superstep driver over a partitioned vertex DataFrame."""
+    """Superstep driver over one checkpointed frame of vertex and message
+    rows (:data:`FRAME_SCHEMA`).
 
-    def __init__(self, spark: SparkSession, vertices: DataFrame, *, n_partitions: int = 16):
-        self.spark = spark
-        self.n_partitions = n_partitions
-        self.vertices = _checkpoint(vertices.repartition(n_partitions, "pid"))
+    Loading groups the vertices by logical worker ``pid`` and lets each
+    worker ``send`` the first superstep's messages. Each
+    :meth:`superstep` is one exchange routing the frame's rows to their
+    logical worker and one ``compute`` pass per worker, which returns the
+    next frame: its updated vertices plus the messages they send.
+    """
 
-    def scatter(self, vertices: DataFrame) -> DataFrame:
-        """send_message over all out-edges: (src, dst, payload=h)."""
-        return vertices.select(
-            F.col("id").alias("src"), F.explode("adj").alias("dst"), F.col("h").alias("payload")
+    def __init__(self, vertices: DataFrame, send: SendFn):
+        """``vertices`` are :data:`VERTEX_SCHEMA` rows with ``pid = worker(id)``,
+        as :func:`build_vertices` makes them."""
+        self.frame = _checkpoint(
+            vertices.groupBy("pid").applyInArrow(lambda v: frame(v, send(v)), FRAME_SCHEMA)
         )
+
+    @property
+    def vertices(self) -> DataFrame:
+        """The current vertex rows ``(id, pid, adj, h)``."""
+        return self.frame.filter(F.col("id").isNotNull()).select(*VERTEX_SCHEMA.names)
 
     def superstep(
-        self,
-        step: int,
-        messages: DataFrame,
-        compute: ComputeFn,
-        *,
-        combiner: Callable[[DataFrame], DataFrame] | None = None,
+        self, step: int, compute: ComputeFn, *, schema: StructType = FRAME_SCHEMA
     ) -> DataFrame:
-        """Deliver messages, run compute() per partition, persist the new
-        vertex frame; returns it (caller decides when to scatter next)."""
-        if combiner is not None:
-            messages = combiner(messages)
-        delivered = messages.withColumn("pid", worker_of(F.col("dst")))
-        old = self.vertices
-        self.vertices = _checkpoint(
-            old.groupBy("pid")
-            .cogroup(delivered.groupBy("pid"))
-            .applyInArrow(lambda verts, msgs: compute(step, verts, msgs), VERTEX_SCHEMA)
-            .repartition(self.n_partitions, "pid")
+        """Deliver the frame's messages and run ``compute`` once per logical
+        worker over its vertices and the messages to them.
+
+        The new frame is checkpointed and returned. A last superstep passes
+        the ``schema`` of its own output instead: that output is returned
+        unmaterialized for the caller to collect, and the frame stays.
+        """
+        out = self.frame.groupBy(F.coalesce("pid", worker_of(F.col("dst")))).applyInArrow(
+            lambda tbl: compute(step, *_split(tbl)), schema
         )
+        if schema != FRAME_SCHEMA:
+            return out
+        old = self.frame
+        self.frame = _checkpoint(out)
         _release(old)  # the previous superstep's blocks
-        return self.vertices
+        return self.frame
 
     def stop(self) -> None:
-        _release(self.vertices)
+        _release(self.frame)
 
 
 # -- classic vertex programs (substrate validation) ---------------------------
 
 
-def _incoming(verts: pa.Table, msgs: pa.Table) -> tuple[pa.Table, np.ndarray, np.ndarray]:
-    """``verts`` sorted by id, and the row and scalar payload of each message."""
+class _ScalarReduce(Aggregator):
+    """A scalar reduce by a NumPy ufunc with its identity; partials are
+    reduced the same way, so one class serves sender and receiver."""
+
+    def __init__(self, ufunc: np.ufunc, identity: float):
+        super().__init__(1)
+        self.ufunc, self.identity = ufunc, identity
+
+    def lift_segments(self, msgs, seg, n):
+        out = np.full((n, 1), self.identity)
+        self.ufunc.at(out, seg, msgs)
+        return out
+
+
+def _gather(agg: _ScalarReduce, verts: pa.Table, msgs: pa.Table) -> tuple[pa.Table, np.ndarray]:
+    """``verts`` sorted by id, and the reduce of the scalar messages to
+    each (the identity for none), taken in ``(dst, src)`` order."""
     verts = verts.take(kernel.order_by(verts, "id"))
-    seg = kernel.rows(verts["id"].to_numpy(), msgs["dst"].to_numpy())
-    return verts, seg, kernel.to_matrix(msgs["payload"], 1)[:, 0]
+    order = kernel.order_by(msgs, "dst", "src")
+    seg = kernel.rows(verts["id"].to_numpy(), msgs["dst"].to_numpy()[order])
+    vals = kernel.to_matrix(msgs["payload"], 1)[order]
+    return verts, agg.lift_segments(vals, seg, verts.num_rows)[:, 0]
+
+
+def _send_scalar(agg: _ScalarReduce, verts: pa.Table, value: np.ndarray) -> pa.Table:
+    """``value`` of each vertex row along its out-edges, combined per
+    ``(sender worker, dst)``."""
+    return kernel.combine(agg, out_messages(verts, kernel.from_matrix(value[:, None])))
 
 
 def pagerank(
@@ -166,33 +252,26 @@ def pagerank(
 ) -> DataFrame:
     """PageRank as a Pregel vertex program → (id, rank)."""
     n = nodes.count()
-    verts = build_vertices(spark, nodes.select("id", F.lit(1.0 / n).alias("r")), edges, state_col="r")
-    # state = (rank, share per out-edge); the first superstep has no
-    # incoming messages, so seed rank 1/n and its share
-    share = F.col("h") / F.greatest(F.size("adj"), F.lit(1))
-    eng = Pregel(spark, verts.withColumn("h", F.array("h", share)))
+    verts = build_vertices(
+        spark, nodes.select("id", F.array(F.lit(1.0 / n)).alias("r")), edges, state_col="r"
+    )
+    agg = _ScalarReduce(np.add, 0.0)
+
+    def send(verts: pa.Table) -> pa.Table:  # each out-edge carries a share of the rank
+        deg = pc.list_value_length(verts["adj"]).to_numpy()
+        rank = kernel.to_matrix(verts["h"], 1)[:, 0]
+        return _send_scalar(agg, verts, rank / np.maximum(deg, 1))
 
     def compute(step: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
-        verts, seg, share_in = _incoming(verts, msgs)
-        incoming = np.zeros(verts.num_rows)
-        np.add.at(incoming, seg, share_in)
+        verts, incoming = _gather(agg, verts, msgs)
         rank = (1 - damping) / n + damping * incoming
-        deg = pc.list_value_length(verts["adj"]).to_numpy()
-        return kernel.with_state(verts, np.column_stack([rank, rank / np.maximum(deg, 1)]))
+        verts = kernel.with_state(verts, rank[:, None])
+        return frame(verts, send(verts) if step + 1 < iterations else None)
 
-    def combiner(msgs: DataFrame) -> DataFrame:
-        return msgs.groupBy("dst").agg(
-            F.array(F.sum(F.col("payload")[0])).alias("payload")
-        ).withColumn("src", F.lit(-1)).select("src", "dst", "payload")
-
+    eng = Pregel(verts, send)
     try:
         for step in range(iterations):
-            msgs = eng.vertices.select(
-                F.col("id").alias("src"),
-                F.explode("adj").alias("dst"),
-                F.array(F.col("h")[1]).alias("payload"),
-            )
-            eng.superstep(step, msgs, compute, combiner=combiner)
+            eng.superstep(step, compute)
         result = eng.vertices.select("id", F.col("h")[0].alias("rank")).toPandas()
     finally:
         eng.stop()
@@ -216,30 +295,23 @@ def sssp(
         edges,
         state_col="d",
     )
-    eng = Pregel(spark, verts)
+    agg = _ScalarReduce(np.minimum, INF)
+
+    def send(verts: pa.Table) -> pa.Table:  # reached vertices offer dist + 1
+        dist = kernel.to_matrix(verts["h"], 1)[:, 0]
+        reached = dist < INF
+        return _send_scalar(agg, verts.filter(pa.array(reached)), dist[reached] + 1)
 
     def compute(step: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
-        verts, seg, cand_in = _incoming(verts, msgs)
-        dist = kernel.to_matrix(verts["h"], 1)[:, 0].copy()
-        np.minimum.at(dist, seg, cand_in)
-        return kernel.with_state(verts, dist[:, None])
+        verts, cand = _gather(agg, verts, msgs)
+        dist = np.minimum(kernel.to_matrix(verts["h"], 1)[:, 0], cand)
+        verts = kernel.with_state(verts, dist[:, None])
+        return frame(verts, send(verts) if step + 1 < max_steps else None)
 
-    def combiner(msgs: DataFrame) -> DataFrame:
-        return (
-            msgs.groupBy("dst")
-            .agg(F.array(F.min(F.col("payload")[0])).alias("payload"))
-            .withColumn("src", F.lit(-1))
-            .select("src", "dst", "payload")
-        )
-
+    eng = Pregel(verts, send)
     try:
         for step in range(max_steps):
-            msgs = eng.vertices.filter(F.col("h")[0] < INF).select(
-                F.col("id").alias("src"),
-                F.explode("adj").alias("dst"),
-                F.array(F.col("h")[0] + 1).alias("payload"),
-            )
-            eng.superstep(step, msgs, compute, combiner=combiner)
+            eng.superstep(step, compute)
         result = eng.vertices.select(
             "id",
             F.when(F.col("h")[0] >= INF, F.lit(-1.0)).otherwise(F.col("h")[0]).alias("dist"),
@@ -264,38 +336,51 @@ def infer_pregel(
 ) -> tuple[DataFrame, RunStats]:
     """Full-graph GNN inference, one GAS layer per superstep.
 
-    Superstep k delivers layer k's messages, runs *gather → aggregate →
-    apply_node* (:func:`kernel.update`) per partition, and scatters layer
-    k+1's messages via the out-adjacency each vertex holds. The combiner
-    performs the *aggregate* stage sender-side when the layer allows it
-    (``partial=True`` + partial_gather strategy).
+    Loading sends layer 0's messages. Superstep k runs *gather → aggregate
+    → apply_node* (:func:`kernel.update`) per logical worker over layer
+    k's messages, then sends layer k+1's messages along the out-adjacency
+    each vertex holds; the last superstep applies the prediction head
+    instead. When a layer allows it (``partial=True`` + partial_gather
+    strategy), its messages are combined sender-side per ``(worker(src),
+    dst)`` in the pass that sends them (:func:`kernel.combine`).
     """
     stats = RunStats(backend="pregel")
+    layers = model.layers
+    combined = [strategies.partial_gather and layer.partial for layer in layers]
+
+    def send(k: int, verts: pa.Table) -> pa.Table:
+        msgs = out_messages(verts, verts["h"])
+        return kernel.combine(layers[k].aggregator, msgs) if combined[k] else msgs
+
+    def compute(k: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
+        verts = kernel.update(layers[k], verts, msgs, combined=combined[k])
+        if k + 1 < len(layers):
+            return frame(verts, send(k + 1, verts))
+        return kernel.head(model, verts)
+
     with Timer() as t:
         if strategies.shadow_nodes:
             thr = shadow.shadow_threshold(edges.count(), n_workers, strategies.shadow_lambda)
             nodes, edges, _ = shadow.apply_shadow_nodes(nodes, edges, threshold=thr)
-        eng = Pregel(spark, build_vertices(spark, nodes, edges), n_partitions=n_workers)
+        eng = Pregel(build_vertices(spark, nodes, edges), partial(send, 0))
         try:
-            for k, layer in enumerate(model.layers):
-                msgs = eng.scatter(eng.vertices)
-                if instrument:
+            if instrument:
+                sent = eng.vertices.select(
+                    F.col("id").alias("src"), F.explode("adj").alias("dst")
+                )
+                for k, layer in enumerate(layers):
                     rows, floats = count_comm(
-                        msgs,
+                        sent,
                         layer,
                         partial_gather=strategies.partial_gather,
                         broadcast=strategies.broadcast,
                     )
                     stats.rounds.append(RoundStats(layer=k, msg_rows=rows, msg_floats=floats))
-                combined = strategies.partial_gather and layer.partial
-
-                def compute(step, verts, msgs, layer=layer, combined=combined):
-                    return kernel.update(layer, verts, msgs, combined=combined)
-
-                combiner = partial(combine_messages, layer=layer) if combined else None
-                eng.superstep(k, msgs, compute, combiner=combiner)
-
-            result = apply_head(eng.vertices.select("id", "h"), model)
+            for k in range(len(layers) - 1):
+                eng.superstep(k, compute)
+            result = eng.superstep(
+                len(layers) - 1, compute, schema=kernel.head_schema(model.task)
+            )
             if strategies.shadow_nodes:
                 result = shadow.drop_mirrors(result)
             pdf = result.toPandas()

@@ -4,9 +4,9 @@ A node whose out-degree exceeds a threshold is split into ``n`` mirrors.
 Each mirror keeps **all** in-edges of the original (so every mirror
 computes the identical state each layer) and an even 1/n share of the
 out-edges (so the scatter-side communication load is spread over
-machines). Mirror ids encode the group: ``mirror = id + (g+1) << 40``
-for groups ``g >= 1``; group 0 keeps the original id, so downstream
-results are read off the original rows.
+machines). Mirror ids encode the group: mirror ``g >= 1`` of node
+``id`` is ``id + g * SHADOW_BASE`` (``SHADOW_BASE = 2**40``); group 0 keeps
+the original id, so downstream results are read off the original rows.
 
 ``shadow_threshold`` implements the paper's heuristic
 ``threshold = λ · total_edges / total_workers`` with λ = 0.1.

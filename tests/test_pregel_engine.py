@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.backends.pregel import Pregel, build_vertices, pagerank, sssp
+from repro.backends.pregel import (
+    Pregel,
+    build_vertices,
+    frame,
+    out_messages,
+    pagerank,
+    sssp,
+)
 from repro.graphs.generators import power_law_graph
 from repro.graphs.local import LocalGraph
 
@@ -79,23 +86,27 @@ def test_build_vertices_adjacency(spark, graph):
     assert (pdf["pid"] >= 0).all() and (pdf["pid"] < 16).all()
 
 
+def _messages_rows(eng) -> int:
+    return eng.frame.filter(F.col("dst").isNotNull()).count()
+
+
 def test_vertices_preserved_across_supersteps(spark, graph):
     """compute() returning states untouched must keep the vertex set."""
     nodes, edges, _ = graph
-    eng = Pregel(spark, build_vertices(spark, nodes, edges), n_partitions=8)
+    eng = Pregel(build_vertices(spark, nodes, edges), lambda v: out_messages(v, v["h"]))
     before = eng.vertices.count()
 
     def compute(step, verts, msgs):
-        return verts
+        return frame(verts)
 
-    msgs = eng.scatter(eng.vertices)
-    eng.superstep(0, msgs, compute)
+    eng.superstep(0, compute)
     assert eng.vertices.count() == before
+    assert _messages_rows(eng) == 0
     eng.stop()
 
 
 def test_scatter_emits_one_message_per_edge(spark, graph):
     nodes, edges, _ = graph
-    eng = Pregel(spark, build_vertices(spark, nodes, edges), n_partitions=8)
-    assert eng.scatter(eng.vertices).count() == edges.count()
+    eng = Pregel(build_vertices(spark, nodes, edges), lambda v: out_messages(v, v["h"]))
+    assert _messages_rows(eng) == edges.count()
     eng.stop()
