@@ -18,12 +18,10 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.backends.common import N_WORKERS, scatter_messages, worker_of
-from repro.core.sage import SAGEConv
+from repro.backends.common import N_WORKERS, worker_of
 from repro.graphs.generators import power_law_graph
 from repro.graphs.shadow import apply_shadow_nodes, shadow_threshold
 
@@ -49,18 +47,16 @@ def _tail_reduction(base: np.ndarray, opt: np.ndarray, frac: float = 0.1) -> flo
 
 def run(spark: SparkSession, *, n_nodes: int = 20_000, avg_degree: float = 14) -> list[dict]:
     dim = 16
-    layer = SAGEConv(dim, dim)
     rows = []
 
     # -- large in-degree: partial-gather ---------------------------------
-    nodes, edges = power_law_graph(
+    _, edges = power_law_graph(
         spark, n_nodes=n_nodes, avg_degree=avg_degree, skew="in", alpha=1.35,
         feat_dim=dim, seed=31,
     )
-    state = nodes.select("id", F.col("feat").alias("h"))
-    msgs, _ = scatter_messages(edges, state, layer, broadcast=False)
-    base_in = _per_worker(msgs, "dst", dim * 8 + 16)
-    combined = msgs.select(worker_of(F.col("src")).alias("w"), "dst").distinct()
+    # one message per edge, each carrying a dim-wide payload
+    base_in = _per_worker(edges, "dst", dim * 8 + 16)
+    combined = edges.select(worker_of(F.col("src")).alias("w"), "dst").distinct()
     pg_in = _per_worker(combined, "dst", (dim + 1) * 8 + 16)  # mean partial carries count
     rows.append(
         {
@@ -77,14 +73,12 @@ def run(spark: SparkSession, *, n_nodes: int = 20_000, avg_degree: float = 14) -
         spark, n_nodes=n_nodes, avg_degree=avg_degree, skew="out", alpha=1.35,
         feat_dim=dim, seed=32,
     )
-    state = nodes.select("id", F.col("feat").alias("h"))
-    msgs, _ = scatter_messages(edges, state, layer, broadcast=False)
-    base_out = _per_worker(msgs, "src", dim * 8 + 16)
+    base_out = _per_worker(edges, "src", dim * 8 + 16)
 
     # broadcast ships the payload once per (src, receiver-worker) plus an
     # ids-only edge stream (16 B/edge)
     bcast = edges.select("src", worker_of(F.col("dst")).alias("wd")).distinct()
-    bc_out = _per_worker(bcast, "src", dim * 8 + 16) + _per_worker(msgs, "src", 16)
+    bc_out = _per_worker(bcast, "src", dim * 8 + 16) + _per_worker(edges, "src", 16)
     rows.append(
         {
             "strategy": "broadcast (out-skew)",

@@ -1,7 +1,8 @@
 """The bucket kernel: the per-batch GAS stages both backends run.
 
 A *bucket* is one batch of rows handed to Python by ``applyInArrow``: a
-group of messages, of node states, or both (cogrouped). This module is
+logical worker's node states and the messages to them, or the messages
+one worker sends. This module is
 the only code that knows how a bucket looks on the wire and in what
 order it is reduced:
 
@@ -36,9 +37,6 @@ MSG_SCHEMA = StructType(
         StructField("dst", LongType()),
         StructField("payload", ArrayType(DoubleType())),
     ]
-)
-STATE_SCHEMA = StructType(
-    [StructField("id", LongType()), StructField("h", ArrayType(DoubleType()))]
 )
 
 

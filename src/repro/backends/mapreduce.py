@@ -1,10 +1,14 @@
 """The batch-processing (MapReduce/Spark) backend — paper §IV-C2.
 
-Defining property: **nothing lives in memory between rounds**. The map
-phase materializes the initial node state to external storage (Parquet);
-each reduce round reads the previous state and the edge table back from
-storage, performs one GAS layer, and writes the new state out. The last
-round additionally applies the prediction slice of the model.
+Defining property: **nothing lives in memory between rounds**. It runs
+the same vertex program as the Pregel backend
+(:func:`repro.backends.pregel.load_gnn`) on the same engine, but each
+round's frame — node records carrying their state and out-edges, plus
+the messages they send, shuffled along with the state "to itself" —
+goes to external storage (Parquet) and is read back by the next round.
+The map phase writes ``state_0``; the reduce round of layer k reads
+``state_k`` and writes ``state_{k+1}``; a last reduce reads the final
+state back and applies the prediction slice of the model.
 
 This is deliberately heavier on IO than the Pregel backend and lighter
 on resident memory — matching the paper's trade-off (Table III: On-MR
@@ -18,17 +22,10 @@ import tempfile
 from pathlib import Path
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.backends.common import (
-    RoundStats,
-    RunStats,
-    Timer,
-    apply_head,
-    apply_layer,
-    count_comm,
-    scatter_messages,
-)
+from repro.backends import kernel
+from repro.backends.common import RunStats, Timer
+from repro.backends.pregel import load_gnn
 from repro.core.model import GNNModel
 from repro.graphs import shadow
 from repro.strategies import StrategyConfig
@@ -42,8 +39,6 @@ def infer_mr(
     *,
     workdir: str | Path,
     strategies: StrategyConfig = StrategyConfig.none(),
-    n_workers: int = 16,
-    n_buckets: int = 64,
     instrument: bool = False,
 ) -> tuple[DataFrame, RunStats]:
     """Full-graph inference on the MapReduce backend.
@@ -51,58 +46,30 @@ def infer_mr(
     Returns ``(result, stats)`` where ``result`` has columns
     ``(id, logits, pred)`` for every node (mirror rows already dropped).
 
-    The run's files — the edges, each round's state ``state_k.parquet``
-    and ``result.parquet``, which ``result`` reads — go to a new
-    subdirectory of ``workdir`` that the caller owns; nothing else there
-    is touched. A run that fails removes its subdirectory.
+    The run's files — each round's frame ``state_k.parquet`` and
+    ``result.parquet``, which ``result`` reads — go to a new subdirectory
+    of ``workdir`` that the caller owns; nothing else there is touched. A
+    run that fails removes its subdirectory.
     """
     Path(workdir).mkdir(parents=True, exist_ok=True)
     run = Path(tempfile.mkdtemp(prefix="infer_mr-", dir=workdir))
     stats = RunStats(backend="mapreduce")
     try:
         with Timer() as t:
-            if strategies.shadow_nodes:
-                thr = shadow.shadow_threshold(edges.count(), n_workers, strategies.shadow_lambda)
-                nodes, edges, _ = shadow.apply_shadow_nodes(nodes, edges, threshold=thr)
-
-            edges_path = str(run / "edges.parquet")
-            edges.select("src", "dst").write.parquet(edges_path)
-
-            # Map phase: initial state h0 = x to external storage.
-            state_path = str(run / "state_0.parquet")
-            nodes.select("id", F.col("feat").alias("h")).write.parquet(state_path)
-
-            for k, layer in enumerate(model.layers):
-                state = spark.read.parquet(state_path)
-                edge_t = spark.read.parquet(edges_path)
-                msgs, _ = scatter_messages(
-                    edge_t, state, layer, broadcast=strategies.broadcast
-                )
-                if instrument:
-                    rows, floats = count_comm(
-                        msgs,
-                        layer,
-                        partial_gather=strategies.partial_gather,
-                        broadcast=strategies.broadcast,
-                    )
-                    stats.rounds.append(RoundStats(layer=k, msg_rows=rows, msg_floats=floats))
-                new_state = apply_layer(
-                    state,
-                    msgs,
-                    layer,
-                    partial_gather=strategies.partial_gather,
-                    n_buckets=n_buckets,
-                )
-                state_path = str(run / f"state_{k + 1}.parquet")
-                new_state.write.parquet(state_path)
-
-            # Final reduce carries the prediction slice.
-            result = apply_head(spark.read.parquet(state_path), model)
+            eng, compute = load_gnn(
+                spark, nodes, edges, model, strategies, stats, instrument=instrument, rundir=run
+            )
+            for k in range(model.n_layers):
+                eng.superstep(k, compute)
+            schema = kernel.head_schema(model.task)
+            result = eng.superstep(
+                model.n_layers, lambda k, verts, msgs: kernel.head(model, verts), schema=schema
+            )
             if strategies.shadow_nodes:
                 result = shadow.drop_mirrors(result)
             out_path = str(run / "result.parquet")
             result.write.parquet(out_path)
-            result = spark.read.parquet(out_path)
+            result = spark.read.schema(schema).parquet(out_path)
     except BaseException:
         shutil.rmtree(run, ignore_errors=True)
         raise

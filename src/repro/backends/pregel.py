@@ -3,8 +3,8 @@
 A superstep engine (:class:`Pregel`) in the "think-like-a-vertex" style.
 Each logical worker ``pid = worker(id)`` holds its vertices' state **and
 their out-adjacency** ("structure and feature information stored in one
-place"). Between supersteps the engine keeps one checkpointed *frame*
-with two kinds of rows: vertex rows ``(id, pid, adj, h)`` and the message
+place"). Between supersteps the engine keeps one *frame* with two
+kinds of rows: vertex rows ``(id, pid, adj, h)`` and the message
 rows ``(src, dst, payload)`` those vertices sent, each kind's columns null
 in the other kind's rows.
 
@@ -16,18 +16,21 @@ per-edge messages never leave Python. One Spark exchange per superstep
 routes every row to its group: a message to the worker of its ``dst``, a
 vertex row to its own ``pid``. Only messages move between logical
 workers; vertex rows cross the exchange too, once, into their own
-worker's group, because ``localCheckpoint`` forgets the partitioning the
-planner would need to skip it.
+worker's group, because a stored frame (checkpoint or Parquet) forgets
+the partitioning the planner would need to skip it.
 
 The engine is validated on classic vertex programs (PageRank, SSSP — see
-tests) before carrying GNNs; :func:`infer_pregel` then runs one GAS layer
-per superstep with the paper's combiner trick — the *aggregate* part of a
-``partial=True`` layer runs sender-side — and the last superstep applies
-the prediction head.
+tests) before carrying GNNs. :func:`load_gnn` runs one GAS layer per
+superstep with the paper's combiner trick — the *aggregate* part of a
+``partial=True`` layer runs sender-side. Both backends run it:
+:func:`infer_pregel` over resident frames, with the prediction head in
+the last superstep, and :func:`repro.backends.mapreduce.infer_mr` over
+frames stored as Parquet between rounds.
 """
 from __future__ import annotations
 
 from functools import partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -45,7 +48,7 @@ from pyspark.sql.types import (
 )
 
 from repro.backends import kernel
-from repro.backends.common import RoundStats, RunStats, Timer, count_comm, worker_of
+from repro.backends.common import N_WORKERS, RoundStats, RunStats, Timer, count_comm, worker_of
 from repro.core.gas import Aggregator
 from repro.core.model import GNNModel
 from repro.graphs import shadow
@@ -163,22 +166,42 @@ def _release(cp: DataFrame) -> None:
 
 
 class Pregel:
-    """Superstep driver over one checkpointed frame of vertex and message
-    rows (:data:`FRAME_SCHEMA`).
+    """Superstep driver over one frame of vertex and message rows
+    (:data:`FRAME_SCHEMA`).
 
     Loading groups the vertices by logical worker ``pid`` and lets each
     worker ``send`` the first superstep's messages. Each
     :meth:`superstep` is one exchange routing the frame's rows to their
     logical worker and one ``compute`` pass per worker, which returns the
     next frame: its updated vertices plus the messages they send.
+
+    Where a frame lives between supersteps is the one choice the two
+    backends make differently: resident in executor memory (a local
+    checkpoint, released when replaced), or, given ``rundir``, written to
+    ``rundir/state_k.parquet`` after k supersteps and read back, nothing
+    cached and nothing released.
     """
 
-    def __init__(self, vertices: DataFrame, send: SendFn):
+    def __init__(self, vertices: DataFrame, send: SendFn, rundir: Path | None = None):
         """``vertices`` are :data:`VERTEX_SCHEMA` rows with ``pid = worker(id)``,
         as :func:`build_vertices` makes them."""
-        self.frame = _checkpoint(
-            vertices.groupBy("pid").applyInArrow(lambda v: frame(v, send(v)), FRAME_SCHEMA)
+        self.rundir = rundir
+        self.frame = self._keep(
+            0, vertices.groupBy("pid").applyInArrow(lambda v: frame(v, send(v)), FRAME_SCHEMA)
         )
+
+    def _keep(self, k: int, df: DataFrame) -> DataFrame:
+        """``df`` stored as frame ``k`` where frames live, and read back."""
+        if self.rundir is None:
+            return _checkpoint(df)
+        path = str(self.rundir / f"state_{k}.parquet")
+        df.write.parquet(path)
+        return df.sparkSession.read.schema(FRAME_SCHEMA).parquet(path)
+
+    def _drop(self, frame: DataFrame) -> None:
+        """Release a resident frame's blocks; a stored frame stays."""
+        if self.rundir is None:
+            _release(frame)
 
     @property
     def vertices(self) -> DataFrame:
@@ -191,9 +214,9 @@ class Pregel:
         """Deliver the frame's messages and run ``compute`` once per logical
         worker over its vertices and the messages to them.
 
-        The new frame is checkpointed and returned. A last superstep passes
+        The new frame is stored and returned. A last superstep passes
         the ``schema`` of its own output instead: that output is returned
-        unmaterialized for the caller to collect, and the frame stays.
+        unmaterialized for the caller to materialize, and the frame stays.
         """
         out = self.frame.groupBy(F.coalesce("pid", worker_of(F.col("dst")))).applyInArrow(
             lambda tbl: compute(step, *_split(tbl)), schema
@@ -201,12 +224,12 @@ class Pregel:
         if schema != FRAME_SCHEMA:
             return out
         old = self.frame
-        self.frame = _checkpoint(out)
-        _release(old)  # the previous superstep's blocks
+        self.frame = self._keep(step + 1, out)
+        self._drop(old)
         return self.frame
 
     def stop(self) -> None:
-        _release(self.frame)
+        self._drop(self.frame)
 
 
 # -- classic vertex programs (substrate validation) ---------------------------
@@ -324,29 +347,39 @@ def sssp(
 # -- GNN inference on the Pregel engine ---------------------------------------
 
 
-def infer_pregel(
+def load_gnn(
     spark: SparkSession,
     nodes: DataFrame,
     edges: DataFrame,
     model: GNNModel,
+    strategies: StrategyConfig,
+    stats: RunStats,
     *,
-    strategies: StrategyConfig = StrategyConfig.none(),
-    n_workers: int = 16,
-    instrument: bool = False,
-) -> tuple[DataFrame, RunStats]:
-    """Full-graph GNN inference, one GAS layer per superstep.
+    instrument: bool,
+    rundir: Path | None = None,
+) -> tuple[Pregel, ComputeFn]:
+    """Load a GNN as a vertex program on the engine — the one GAS data path
+    of both backends — and return the engine (frames stored under
+    ``rundir`` if given) and its ``compute``.
 
-    Loading sends layer 0's messages. Superstep k runs *gather → aggregate
-    → apply_node* (:func:`kernel.update`) per logical worker over layer
-    k's messages, then sends layer k+1's messages along the out-adjacency
-    each vertex holds; the last superstep applies the prediction head
-    instead. When a layer allows it (``partial=True`` + partial_gather
-    strategy), its messages are combined sender-side per ``(worker(src),
-    dst)`` in the pass that sends them (:func:`kernel.combine`).
+    Loading sends layer 0's messages. Superstep k applies layer k to its
+    messages (:func:`kernel.update`) and sends layer k+1's along each
+    vertex's out-adjacency, none after the last layer; a ``partial`` layer
+    under partial gather has them combined per ``(worker(src), dst)`` in
+    that pass (:func:`kernel.combine`). Hubs are split into mirrors first
+    under shadow nodes; with ``instrument``, ``stats`` gets each layer's
+    traffic as :func:`count_comm` accounts it.
     """
-    stats = RunStats(backend="pregel")
+    if strategies.shadow_nodes:
+        thr = shadow.shadow_threshold(edges.count(), N_WORKERS, strategies.shadow_lambda)
+        nodes, edges, _ = shadow.apply_shadow_nodes(nodes, edges, threshold=thr)
     layers = model.layers
-    combined = [strategies.partial_gather and layer.partial for layer in layers]
+    pg, bc = strategies.partial_gather, strategies.broadcast
+    if instrument:
+        for k, layer in enumerate(layers):
+            rows, floats = count_comm(edges, layer, partial_gather=pg, broadcast=bc)
+            stats.rounds.append(RoundStats(layer=k, msg_rows=rows, msg_floats=floats))
+    combined = [pg and layer.partial for layer in layers]
 
     def send(k: int, verts: pa.Table) -> pa.Table:
         msgs = out_messages(verts, verts["h"])
@@ -354,32 +387,36 @@ def infer_pregel(
 
     def compute(k: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
         verts = kernel.update(layers[k], verts, msgs, combined=combined[k])
-        if k + 1 < len(layers):
-            return frame(verts, send(k + 1, verts))
-        return kernel.head(model, verts)
+        return frame(verts, send(k + 1, verts) if k + 1 < len(layers) else None)
 
+    return Pregel(build_vertices(spark, nodes, edges), partial(send, 0), rundir), compute
+
+
+def infer_pregel(
+    spark: SparkSession,
+    nodes: DataFrame,
+    edges: DataFrame,
+    model: GNNModel,
+    *,
+    strategies: StrategyConfig = StrategyConfig.none(),
+    instrument: bool = False,
+) -> tuple[DataFrame, RunStats]:
+    """Full-graph GNN inference on the Pregel backend: :func:`load_gnn`
+    with resident frames, the prediction head run in the last superstep.
+    ``result`` has columns ``(id, logits, pred)`` for every node."""
+    stats = RunStats(backend="pregel")
+    n_layers = model.n_layers
     with Timer() as t:
-        if strategies.shadow_nodes:
-            thr = shadow.shadow_threshold(edges.count(), n_workers, strategies.shadow_lambda)
-            nodes, edges, _ = shadow.apply_shadow_nodes(nodes, edges, threshold=thr)
-        eng = Pregel(build_vertices(spark, nodes, edges), partial(send, 0))
+        eng, compute = load_gnn(
+            spark, nodes, edges, model, strategies, stats, instrument=instrument
+        )
         try:
-            if instrument:
-                sent = eng.vertices.select(
-                    F.col("id").alias("src"), F.explode("adj").alias("dst")
-                )
-                for k, layer in enumerate(layers):
-                    rows, floats = count_comm(
-                        sent,
-                        layer,
-                        partial_gather=strategies.partial_gather,
-                        broadcast=strategies.broadcast,
-                    )
-                    stats.rounds.append(RoundStats(layer=k, msg_rows=rows, msg_floats=floats))
-            for k in range(len(layers) - 1):
+            for k in range(n_layers - 1):
                 eng.superstep(k, compute)
             result = eng.superstep(
-                len(layers) - 1, compute, schema=kernel.head_schema(model.task)
+                n_layers - 1,
+                lambda k, verts, msgs: kernel.head(model, compute(k, verts, msgs)),
+                schema=kernel.head_schema(model.task),
             )
             if strategies.shadow_nodes:
                 result = shadow.drop_mirrors(result)

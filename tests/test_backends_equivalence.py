@@ -53,9 +53,7 @@ def test_mr_matches_reference(spark, graph, tmp_path, model_key):
     nodes, edges, g = graph
     model = MODELS[model_key]()
     ref = forward_full(model, g)
-    result, _ = infer_mr(
-        spark, nodes, edges, model, workdir=tmp_path / "mr", n_buckets=8
-    )
+    result, _ = infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr")
     _check(result, ref)
 
 
@@ -90,7 +88,6 @@ def test_mr_strategies_preserve_results_sage(spark, graph, tmp_path, model_key, 
         model,
         workdir=tmp_path / "mr",
         strategies=STRATS[strat_key],
-        n_buckets=8,
     )
     _check(result, ref)
 
@@ -118,7 +115,6 @@ def test_gat_ignores_partial_gather_safely(spark, graph, tmp_path, strat_key):
         model,
         workdir=tmp_path / "mr",
         strategies=STRATS[strat_key],
-        n_buckets=8,
     )
     _check(result, ref)
 
@@ -127,12 +123,12 @@ def test_mr_and_pregel_bit_identical(spark, graph, tmp_path):
     """The two backends implement the same abstraction: same bits out."""
     nodes, edges, g = graph
     model = MODELS["sage"]()
-    a, _ = infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr", n_buckets=8)
+    a, _ = infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr")
     b, _ = infer_pregel(spark, nodes, edges, model)
     pa = a.toPandas().sort_values("id").reset_index(drop=True)
     pb = b.toPandas().sort_values("id").reset_index(drop=True)
-    np.testing.assert_allclose(
-        np.stack(pa["logits"].to_numpy()), np.stack(pb["logits"].to_numpy()), atol=1e-12
+    np.testing.assert_array_equal(
+        np.stack(pa["logits"].to_numpy()), np.stack(pb["logits"].to_numpy())
     )
     assert (pa["pred"].to_numpy() == pb["pred"].to_numpy()).all()
 
@@ -140,7 +136,7 @@ def test_mr_and_pregel_bit_identical(spark, graph, tmp_path):
 def test_predictions_match_logits(spark, graph, tmp_path):
     nodes, edges, g = graph
     model = MODELS["sage"]()
-    result, _ = infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr", n_buckets=8)
+    result, _ = infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr")
     pdf = result.toPandas()
     np.testing.assert_array_equal(
         pdf["pred"].to_numpy(), np.stack(pdf["logits"].to_numpy()).argmax(1)
@@ -150,7 +146,7 @@ def test_predictions_match_logits(spark, graph, tmp_path):
 def test_multilabel_predictions(spark, graph, tmp_path):
     nodes, edges, g = graph
     model = build_sage(6, 10, 4, task="multilabel", seed=5)
-    result, _ = infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr", n_buckets=8)
+    result, _ = infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr")
     pdf = result.toPandas()
     logits = np.stack(pdf["logits"].to_numpy())
     preds = np.stack(pdf["pred"].to_numpy())
@@ -168,7 +164,6 @@ def test_layer_count_respected(spark, graph, tmp_path, n_layers):
         edges,
         model,
         workdir=tmp_path / "mr",
-        n_buckets=8,
         instrument=True,
     )
     _check(result, ref)

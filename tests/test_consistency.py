@@ -25,8 +25,8 @@ def _preds(df):
 
 def test_mr_identical_across_runs(spark, setup, tmp_path):
     nodes, edges, model = setup
-    p1, l1 = _preds(infer_mr(spark, nodes, edges, model, workdir=tmp_path / "a", n_buckets=8)[0])
-    p2, l2 = _preds(infer_mr(spark, nodes, edges, model, workdir=tmp_path / "b", n_buckets=8)[0])
+    p1, l1 = _preds(infer_mr(spark, nodes, edges, model, workdir=tmp_path / "a")[0])
+    p2, l2 = _preds(infer_mr(spark, nodes, edges, model, workdir=tmp_path / "b")[0])
     assert (p1 == p2).all()
     np.testing.assert_array_equal(l1, l2)  # bit-identical, not just close
 

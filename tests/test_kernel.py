@@ -1,12 +1,14 @@
 """The bucket kernel on hand-built Arrow buckets: results do not depend
 on the order rows arrive in, match the local forward, give nodes without
-messages a zero aggregate, and reject messages to unknown nodes."""
+messages a zero aggregate, and reject messages to unknown nodes; the
+prediction head is one affine map per node."""
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from repro.backends import kernel
 from repro.core.gat import GATConv
+from repro.core.model import build_sage
 from repro.core.sage import SAGEConv
 from repro.nn.autodiff import Tensor
 
@@ -115,3 +117,13 @@ def test_unknown_destination_raises(bucket):
     with pytest.raises(ValueError, match="unknown node id 7"):
         kernel.update(GATConv(D, 8, heads=2), verts, stray, combined=False)
 
+
+def test_head_multiclass(bucket):
+    verts, *_ = bucket
+    model = build_sage(D, 10, 4, seed=2)
+    h = np.random.default_rng(5).standard_normal((verts.num_rows, 10))
+    res = kernel.head(model, _shuffled(kernel.with_state(verts, h), 1))
+    logits = h @ model.head.params["w"].data + model.head.params["b"].data
+    np.testing.assert_array_equal(res["id"].to_numpy(), verts["id"].to_numpy())
+    np.testing.assert_allclose(kernel.to_matrix(res["logits"], 4), logits, atol=1e-10)
+    np.testing.assert_array_equal(res["pred"].to_numpy(), logits.argmax(1))

@@ -1,11 +1,13 @@
-"""The Pregel backend's physical plan: what a superstep costs in Spark jobs,
-what crosses its one exchange, and inputs off the happy path."""
+"""The superstep engine's physical plan under both backends: what a run
+costs in Spark jobs, what crosses each superstep's one exchange, and
+inputs off the happy path."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.backends import pregel
+from repro.backends.mapreduce import infer_mr
 from repro.backends.pregel import infer_pregel
 from repro.core.model import build_gat, build_sage
 from repro.core.reference import forward_full
@@ -16,6 +18,28 @@ from repro.strategies import StrategyConfig
 PG = StrategyConfig(partial_gather=True)
 
 
+def _per_backend(name, values, ids):
+    """Parametrize ``backend`` and ``name`` together, ``values`` on each
+    backend; the Pregel cases keep their bare ids."""
+    return pytest.mark.parametrize(
+        f"backend,{name}",
+        [
+            pytest.param(backend, v, id=i if backend == "pregel" else f"mr-{i}")
+            for backend in ("pregel", "mr")
+            for v, i in zip(values, ids)
+        ],
+    )
+
+
+STRATS = _per_backend("strat", [StrategyConfig.none(), PG], ["none", "pg"])
+
+
+def _infer(backend, spark, nodes, edges, model, tmp_path, **kwargs):
+    if backend == "mr":
+        return infer_mr(spark, nodes, edges, model, workdir=tmp_path, **kwargs)
+    return infer_pregel(spark, nodes, edges, model, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def graph(spark):
     return power_law_graph(
@@ -23,28 +47,31 @@ def graph(spark):
     )
 
 
-@pytest.mark.parametrize("n_layers", [2, 3])
-def test_job_count_per_run(spark, graph, n_layers):
+@_per_backend("n_layers", [2, 3], ["2", "3"])
+def test_job_count_per_run(spark, graph, tmp_path, backend, n_layers):
     """Load takes four jobs, each superstep two (its exchange, then its
-    checkpoint or the collect)."""
+    checkpoint, Parquet write or the collect). MapReduce's head has a
+    pass of its own, two jobs more."""
     nodes, edges = graph
     model = build_sage(6, 10, 4, n_layers=n_layers, seed=1)
     sc = spark.sparkContext
-    group = f"pregel-jobs-{n_layers}"
-    sc.setJobGroup(group, "infer_pregel job count")
+    group = f"{backend}-jobs-{n_layers}"
+    sc.setJobGroup(group, "inference job count")
     try:
-        infer_pregel(spark, nodes, edges, model, strategies=PG)
+        _infer(backend, spark, nodes, edges, model, tmp_path, strategies=PG)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
-    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= 2 * n_layers + 4
+    bound = 2 * n_layers + (4 if backend == "pregel" else 6)
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) <= bound
 
 
-@pytest.mark.parametrize("strat", [StrategyConfig.none(), PG], ids=["none", "pg"])
-def test_frame_traffic_equals_accounting(spark, graph, monkeypatch, strat):
+@STRATS
+def test_frame_traffic_equals_accounting(spark, graph, tmp_path, monkeypatch, backend, strat):
     """Every frame entering a superstep's exchange holds each vertex once
     plus exactly the message rows and payload floats ``count_comm``
-    accounts for that layer."""
+    accounts for that layer; MapReduce's final frame, which enters the
+    head's pass, holds the vertices alone."""
     nodes, edges = graph
     model = build_sage(6, 10, 4, n_layers=3, seed=1)
     frames = []
@@ -74,9 +101,12 @@ def test_frame_traffic_equals_accounting(spark, graph, monkeypatch, strat):
 
     monkeypatch.setattr(pregel.Pregel, "__init__", traced_init)
     monkeypatch.setattr(pregel.Pregel, "superstep", traced_superstep)
-    _, stats = infer_pregel(spark, nodes, edges, model, strategies=strat, instrument=True)
+    _, stats = _infer(
+        backend, spark, nodes, edges, model, tmp_path, strategies=strat, instrument=True
+    )
     n = nodes.count()
-    assert frames == [(n, r.msg_rows, r.msg_floats) for r in stats.rounds]
+    expected = [(n, r.msg_rows, r.msg_floats) for r in stats.rounds]
+    assert frames == expected + ([(n, 0, 0)] if backend == "mr" else [])
 
 
 def _edge_cases(n):
@@ -93,8 +123,8 @@ def _edge_cases(n):
 
 @pytest.mark.parametrize("case", list(_edge_cases(10)))
 @pytest.mark.parametrize("model_key", ["sage", "gat"])
-@pytest.mark.parametrize("strat", [StrategyConfig.none(), PG], ids=["none", "pg"])
-def test_inputs_off_the_happy_path(spark, case, model_key, strat):
+@STRATS
+def test_inputs_off_the_happy_path(spark, tmp_path, backend, case, model_key, strat):
     n, d = 10, 6
     src, dst = _edge_cases(n)[case]
     feat = np.random.default_rng(2).standard_normal((n, d))
@@ -106,7 +136,7 @@ def test_inputs_off_the_happy_path(spark, case, model_key, strat):
     model = (
         build_sage(d, 8, 3, seed=4) if model_key == "sage" else build_gat(d, 8, 3, heads=2, seed=4)
     )
-    result, _ = infer_pregel(spark, nodes, edges, model, strategies=strat)
+    result, _ = _infer(backend, spark, nodes, edges, model, tmp_path, strategies=strat)
     pdf = result.toPandas().sort_values("id")
     assert pdf["id"].tolist() == list(range(n))
     ref = forward_full(model, LocalGraph.from_spark(nodes, edges))

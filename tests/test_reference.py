@@ -25,14 +25,20 @@ def _run_dir(workdir):
     return run
 
 
+def _vertex_rows(spark, workdir, k):
+    """Round ``k``'s persisted node states: the vertex rows of its frame."""
+    frame = spark.read.parquet(str(_run_dir(workdir) / f"state_{k}.parquet"))
+    return frame.filter("id IS NOT NULL")
+
+
 @pytest.mark.parametrize("builder", [build_sage, build_gat])
 def test_round_states_match_reference_layers(spark, graph, tmp_path, builder):
     nodes, edges, g = graph
     model = builder(6, 8, 3, n_layers=2, seed=9)
-    infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr", n_buckets=8)
+    infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr")
     ref_layers = embeddings_per_layer(model, g)
     for k in (1, 2):
-        state = spark.read.parquet(str(_run_dir(tmp_path / "mr") / f"state_{k}.parquet"))
+        state = _vertex_rows(spark, tmp_path / "mr", k)
         pdf = state.toPandas().sort_values("id")
         got = np.stack(pdf["h"].to_numpy())
         np.testing.assert_allclose(
@@ -43,8 +49,8 @@ def test_round_states_match_reference_layers(spark, graph, tmp_path, builder):
 def test_round_zero_state_is_raw_features(spark, graph, tmp_path):
     nodes, edges, g = graph
     model = build_sage(6, 8, 3, seed=9)
-    infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr", n_buckets=8)
-    state0 = spark.read.parquet(str(_run_dir(tmp_path / "mr") / "state_0.parquet"))
+    infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr")
+    state0 = _vertex_rows(spark, tmp_path / "mr", 0)
     pdf = state0.toPandas().sort_values("id")
     np.testing.assert_allclose(
         np.stack(pdf["h"].to_numpy()), g.feat[pdf["id"].to_numpy()], atol=1e-12

@@ -19,7 +19,7 @@ def _persistent_rdds(spark) -> set:
 
 def _run(backend, spark, nodes, edges, model, workdir):
     if backend == "mr":
-        return infer_mr(spark, nodes, edges, model, workdir=workdir, n_buckets=8)
+        return infer_mr(spark, nodes, edges, model, workdir=workdir)
     return infer_pregel(spark, nodes, edges, model)
 
 
@@ -28,9 +28,7 @@ def test_mr_keeps_callers_files(spark, graph, tmp_path):
     sentinel = tmp_path / "keep.txt"
     sentinel.write_text("mine")
     for _ in range(2):
-        result, _ = infer_mr(
-            spark, nodes, edges, build_sage(6, 10, 4), workdir=tmp_path, n_buckets=8
-        )
+        result, _ = infer_mr(spark, nodes, edges, build_sage(6, 10, 4), workdir=tmp_path)
         assert result.count() == nodes.count()
     assert sentinel.read_text() == "mine"
     runs = [p for p in tmp_path.iterdir() if p.is_dir()]

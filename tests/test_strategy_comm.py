@@ -5,7 +5,7 @@ can reproduce the math)."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro.backends.common import N_WORKERS, count_comm, scatter_messages, worker_of
+from repro.backends.common import N_WORKERS, count_comm, per_worker_io, worker_of
 from repro.backends.mapreduce import infer_mr
 from repro.backends.pregel import infer_pregel
 from repro.core.model import build_sage
@@ -41,7 +41,6 @@ def _run_counts(spark, nodes, edges, model, tmp_path, name, **strat):
         model,
         workdir=tmp_path / name,
         strategies=StrategyConfig(**strat),
-        n_buckets=8,
         instrument=True,
     )
     return stats
@@ -84,8 +83,7 @@ def test_baseline_message_count_equals_edges(spark, in_skewed, model, tmp_path):
 def test_pregel_and_mr_account_the_same_traffic(spark, in_skewed, model, tmp_path, strat):
     nodes, edges = in_skewed
     _, mr = infer_mr(
-        spark, nodes, edges, model, workdir=tmp_path, strategies=strat, n_buckets=8,
-        instrument=True,
+        spark, nodes, edges, model, workdir=tmp_path, strategies=strat, instrument=True
     )
     _, pregel = infer_pregel(spark, nodes, edges, model, strategies=strat, instrument=True)
     assert pregel.total_msg_rows == mr.total_msg_rows
@@ -95,10 +93,8 @@ def test_pregel_and_mr_account_the_same_traffic(spark, in_skewed, model, tmp_pat
 def test_partial_gather_count_oracle(spark, in_skewed, model):
     """Partial rows = distinct (sender worker, dst). Export the worker
     column and let DuckDB recompute the count."""
-    nodes, edges = in_skewed
-    state = nodes.select("id", F.col("feat").alias("h"))
-    msgs, _ = scatter_messages(edges, state, model.layers[0], broadcast=False)
-    tagged = msgs.select(worker_of(F.col("src")).alias("w"), "dst")
+    _, edges = in_skewed
+    tagged = edges.select(worker_of(F.col("src")).alias("w"), "dst")
     got = tagged.groupBy("w", "dst").agg(F.count("*").alias("cnt")).groupBy().agg(
         F.count("*").alias("partial_rows")
     )
@@ -108,54 +104,28 @@ def test_partial_gather_count_oracle(spark, in_skewed, model):
         "(select w, dst from tagged group by w, dst)",
         tagged=tagged,
     )
-    rows, _ = count_comm(msgs, model.layers[0], partial_gather=True, broadcast=False)
+    rows, _ = count_comm(edges, model.layers[0], partial_gather=True, broadcast=False)
     assert rows == tagged.select("w", "dst").distinct().count()
 
 
 def test_broadcast_count_oracle(spark, out_skewed, model):
     """Broadcast rows = distinct (src, receiver worker)."""
-    nodes, edges = out_skewed
-    state = nodes.select("id", F.col("feat").alias("h"))
-    msgs, bcast = scatter_messages(edges, state, model.layers[0], broadcast=True)
+    _, edges = out_skewed
     tagged = edges.select("src", worker_of(F.col("dst")).alias("w"))
-    got = spark.createDataFrame([(bcast.count(),)], ["bcast_rows"])
+    rows, _ = count_comm(edges, model.layers[0], partial_gather=False, broadcast=True)
     assert_equivalent(
-        got,
+        spark.createDataFrame([(rows,)], ["bcast_rows"]),
         "select count(*) as bcast_rows from (select src, w from tagged group by src, w)",
         tagged=tagged,
-    )
-    rows, _ = count_comm(msgs, model.layers[0], partial_gather=False, broadcast=True)
-    assert rows == bcast.count()
-
-
-def test_broadcast_messages_still_cover_all_edges(spark, out_skewed, model):
-    """Receiver-side reconstruction regenerates one message per edge."""
-    nodes, edges = out_skewed
-    state = nodes.select("id", F.col("feat").alias("h"))
-    msgs, _ = scatter_messages(edges, state, model.layers[0], broadcast=True)
-    assert msgs.count() == edges.count()
-    assert_equivalent(
-        msgs.select("src", "dst"),
-        "select src, dst from edges",
-        edges=edges,
     )
 
 
 def test_tail_worker_io_shrinks_with_partial_gather(spark, in_skewed, model):
     """Fig. 9/11's point: the busiest receiver worker's in-message count
     collapses once aggregation happens sender-side."""
-    from repro.backends.common import per_worker_io
-
-    nodes, edges = in_skewed
-    state = nodes.select("id", F.col("feat").alias("h"))
-    msgs, _ = scatter_messages(edges, state, model.layers[0], broadcast=False)
-    base_io = per_worker_io(msgs)["in_msgs"]
-    partial = msgs.withColumn("w", worker_of(F.col("src")))
-    combined = (
-        partial.groupBy("w", "dst").agg(F.count("*"))
-        .select("dst")
-        .withColumnRenamed("dst", "dst")
-    )
-    pg_io = per_worker_io(combined.withColumn("src", F.lit(0)))["in_msgs"]
+    _, edges = in_skewed
+    base_io = per_worker_io(edges)["in_msgs"]
+    combined = edges.select(worker_of(F.col("src")).alias("w"), "dst").distinct()
+    pg_io = per_worker_io(combined)["in_msgs"]
     assert pg_io.max() < base_io.max()
     assert pg_io.max() / pg_io.mean() < base_io.max() / base_io.mean()
