@@ -22,6 +22,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.backends.common import N_WORKERS, worker_of
+from repro.backends.pregel import build_vertices
 from repro.graphs.generators import power_law_graph
 from repro.graphs.shadow import apply_shadow_nodes, shadow_threshold
 
@@ -89,10 +90,12 @@ def run(spark: SparkSession, *, n_nodes: int = 20_000, avg_degree: float = 14) -
         }
     )
 
+    # the (src, dst) stream the rewritten vertex rows send, mirror copies
+    # of hub in-edges included
     thr = shadow_threshold(edges.count(), N_WORKERS)
-    _, edges_sn, n_hubs = apply_shadow_nodes(nodes, edges, threshold=thr)
-    out_msgs_sn = edges_sn.filter(F.col("dst") < (1 << 40))
-    sn_out = _per_worker(out_msgs_sn, "src", dim * 8 + 16)
+    verts, n_hubs, _ = apply_shadow_nodes(build_vertices(spark, nodes, edges), threshold=thr)
+    sent = verts.select(F.col("id").alias("src"), F.explode("adj").alias("dst"))
+    sn_out = _per_worker(sent, "src", dim * 8 + 16)
     rows.append(
         {
             "strategy": f"shadow-nodes (out-skew, {n_hubs} hubs, thr={thr})",

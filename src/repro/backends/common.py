@@ -69,19 +69,19 @@ def count_comm(
     """Exact (rows, payload_floats) crossing logical workers this layer,
     from the ``(src, dst)`` edge stream: one message per edge, unless
 
+    * partial-gather on (partial layers; wins over broadcast, as in the
+      engine) → the sender-side partials, one per ``(worker(src), dst)``.
     * broadcast on (broadcastable layers) → a payload travels once per
       ``(src, worker(dst))``; the edge stream ships ids only.
-    * partial-gather on (partial layers) → payload rows are the
-      sender-side partials, one per ``(worker(src), dst)``.
     """
-    if broadcast and layer.broadcastable:
-        rows = int(edges.select("src", worker_of(F.col("dst"))).distinct().count())
-        return rows, rows * layer.msg_dim
     if layer.partial and partial_gather:
         rows = int(
             edges.select(worker_of(F.col("src")).alias("w"), "dst").distinct().count()
         )
         return rows, rows * layer.aggregator.partial_dim
+    if broadcast and layer.broadcastable:
+        rows = int(edges.select("src", worker_of(F.col("dst"))).distinct().count())
+        return rows, rows * layer.msg_dim
     rows = int(edges.count())
     return rows, rows * layer.msg_dim
 

@@ -27,7 +27,6 @@ from repro.backends import kernel
 from repro.backends.common import RunStats, Timer
 from repro.backends.pregel import load_gnn
 from repro.core.model import GNNModel
-from repro.graphs import shadow
 from repro.strategies import StrategyConfig
 
 
@@ -44,7 +43,7 @@ def infer_mr(
     """Full-graph inference on the MapReduce backend.
 
     Returns ``(result, stats)`` where ``result`` has columns
-    ``(id, logits, pred)`` for every node (mirror rows already dropped).
+    ``(id, logits, pred)`` for every node.
 
     The run's files — each round's frame ``state_k.parquet`` and
     ``result.parquet``, which ``result`` reads — go to a new subdirectory
@@ -65,8 +64,6 @@ def infer_mr(
             result = eng.superstep(
                 model.n_layers, lambda k, verts, msgs: kernel.head(model, verts), schema=schema
             )
-            if strategies.shadow_nodes:
-                result = shadow.drop_mirrors(result)
             out_path = str(run / "result.parquet")
             result.write.parquet(out_path)
             result = spark.read.schema(schema).parquet(out_path)

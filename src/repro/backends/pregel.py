@@ -274,7 +274,7 @@ def pagerank(
     damping: float = 0.85,
 ) -> DataFrame:
     """PageRank as a Pregel vertex program → (id, rank)."""
-    n = nodes.count()
+    n = max(nodes.count(), 1)  # an empty graph has no rank to share
     verts = build_vertices(
         spark, nodes.select("id", F.array(F.lit(1.0 / n)).alias("r")), edges, state_col="r"
     )
@@ -298,7 +298,7 @@ def pagerank(
         result = eng.vertices.select("id", F.col("h")[0].alias("rank")).toPandas()
     finally:
         eng.stop()
-    return spark.createDataFrame(result)
+    return spark.createDataFrame(result, "id long, rank double")
 
 
 def sssp(
@@ -341,7 +341,7 @@ def sssp(
         ).toPandas()
     finally:
         eng.stop()
-    return spark.createDataFrame(result)
+    return spark.createDataFrame(result, "id long, dist double")
 
 
 # -- GNN inference on the Pregel engine ---------------------------------------
@@ -366,18 +366,22 @@ def load_gnn(
     messages (:func:`kernel.update`) and sends layer k+1's along each
     vertex's out-adjacency, none after the last layer; a ``partial`` layer
     under partial gather has them combined per ``(worker(src), dst)`` in
-    that pass (:func:`kernel.combine`). Hubs are split into mirrors first
-    under shadow nodes; with ``instrument``, ``stats`` gets each layer's
-    traffic as :func:`count_comm` accounts it.
+    that pass (:func:`kernel.combine`). Under shadow nodes the vertex
+    rows split hubs into mirrors first, and the last layer drops the
+    mirrors again; with ``instrument``, ``stats`` gets each layer's
+    traffic as :func:`count_comm` accounts it from the vertex rows' edges.
     """
+    verts = build_vertices(spark, nodes, edges)
+    floor = None
     if strategies.shadow_nodes:
         thr = shadow.shadow_threshold(edges.count(), N_WORKERS, strategies.shadow_lambda)
-        nodes, edges, _ = shadow.apply_shadow_nodes(nodes, edges, threshold=thr)
+        verts, _, floor = shadow.apply_shadow_nodes(verts, threshold=thr)
     layers = model.layers
     pg, bc = strategies.partial_gather, strategies.broadcast
     if instrument:
+        sent = verts.select(F.col("id").alias("src"), F.explode("adj").alias("dst"))
         for k, layer in enumerate(layers):
-            rows, floats = count_comm(edges, layer, partial_gather=pg, broadcast=bc)
+            rows, floats = count_comm(sent, layer, partial_gather=pg, broadcast=bc)
             stats.rounds.append(RoundStats(layer=k, msg_rows=rows, msg_floats=floats))
     combined = [pg and layer.partial for layer in layers]
 
@@ -387,9 +391,11 @@ def load_gnn(
 
     def compute(k: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
         verts = kernel.update(layers[k], verts, msgs, combined=combined[k])
-        return frame(verts, send(k + 1, verts) if k + 1 < len(layers) else None)
+        if k + 1 < len(layers):
+            return frame(verts, send(k + 1, verts))
+        return frame(verts if floor is None else verts.filter(pc.less(verts["id"], floor)))
 
-    return Pregel(build_vertices(spark, nodes, edges), partial(send, 0), rundir), compute
+    return Pregel(verts, partial(send, 0), rundir), compute
 
 
 def infer_pregel(
@@ -405,7 +411,7 @@ def infer_pregel(
     with resident frames, the prediction head run in the last superstep.
     ``result`` has columns ``(id, logits, pred)`` for every node."""
     stats = RunStats(backend="pregel")
-    n_layers = model.n_layers
+    n_layers, schema = model.n_layers, kernel.head_schema(model.task)
     with Timer() as t:
         eng, compute = load_gnn(
             spark, nodes, edges, model, strategies, stats, instrument=instrument
@@ -416,13 +422,11 @@ def infer_pregel(
             result = eng.superstep(
                 n_layers - 1,
                 lambda k, verts, msgs: kernel.head(model, compute(k, verts, msgs)),
-                schema=kernel.head_schema(model.task),
+                schema=schema,
             )
-            if strategies.shadow_nodes:
-                result = shadow.drop_mirrors(result)
             pdf = result.toPandas()
         finally:
             eng.stop()
-        result = spark.createDataFrame(pdf)
+        result = spark.createDataFrame(pdf, schema)
     stats.wall_s = t.wall_s
     return result, stats

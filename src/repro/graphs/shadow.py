@@ -1,22 +1,28 @@
 """Shadow-nodes preprocessing (paper §IV-D-c).
 
-A node whose out-degree exceeds a threshold is split into ``n`` mirrors.
-Each mirror keeps **all** in-edges of the original (so every mirror
-computes the identical state each layer) and an even 1/n share of the
+A node whose out-degree exceeds a threshold is split into ``n`` copies,
+itself and ``n - 1`` mirrors. Each copy keeps an even 1/n share of the
 out-edges (so the scatter-side communication load is spread over
-machines). Mirror ids encode the group: mirror ``g >= 1`` of node
-``id`` is ``id + g * SHADOW_BASE`` (``SHADOW_BASE = 2**40``); group 0 keeps
-the original id, so downstream results are read off the original rows.
+machines) and **all** in-edges of the original (so every copy computes
+the identical state each layer).
+
+The rewrite works on the engine's vertex rows ``(id, pid, adj, h)``, in
+one projection: the hubs and their mirror ids are few (under
+``2E / threshold``), so they travel into it as a literal map. Mirror ids
+start one above the largest node id, at the *floor*; rows below it are
+the original nodes.
 
 ``shadow_threshold`` implements the paper's heuristic
 ``threshold = λ · total_edges / total_workers`` with λ = 0.1.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql.types import ArrayType, LongType
 
-SHADOW_BASE = 1 << 40
+from repro.backends.common import worker_of
+
 DEFAULT_LAMBDA = 0.1
 
 
@@ -25,64 +31,53 @@ def shadow_threshold(n_edges: int, n_workers: int, lam: float = DEFAULT_LAMBDA) 
     return max(1, int(lam * n_edges / n_workers))
 
 
-def mirror_group(col):
-    """Group index encoded in a (possibly mirrored) node id."""
-    return (col / SHADOW_BASE).cast("long")
-
-
-def original_id(col):
-    """Original node id of a (possibly mirrored) node id."""
-    return col % SHADOW_BASE
-
-
 def apply_shadow_nodes(
-    nodes: DataFrame, edges: DataFrame, *, threshold: int
-) -> tuple[DataFrame, DataFrame, int]:
-    """Rewrite ``(nodes, edges)`` splitting out-degree hubs into mirrors.
+    vertices: DataFrame, *, threshold: int
+) -> tuple[DataFrame, int, int | None]:
+    """Split each vertex row with ``size(adj) > threshold`` (a hub) into
+    ``ceil(size(adj) / threshold)`` copies: the hub's id, then its mirror
+    ids, each with the hub's ``h``, ``pid = worker(id)`` and a round-robin
+    share of the sorted adjacency. Every ``adj`` entry pointing at a hub
+    expands to all of its copies, so each mirror gets all in-edges.
 
-    Returns ``(nodes2, edges2, n_hubs)``. Result-preserving: inference on
-    the rewritten graph followed by :func:`drop_mirrors` equals inference
-    on the original graph (tested).
+    Returns ``(rows, n_hubs, floor)``, mirror ids being ``floor, floor +
+    1, …``; with no hub, ``(vertices, 0, None)``. Raises ``ValueError`` if
+    a mirror id would not fit in int64.
     """
-    out_deg = edges.groupBy("src").agg(F.count("*").alias("outd"))
-    hubs = out_deg.filter(F.col("outd") > threshold).withColumn(
-        "n_groups", F.ceil(F.col("outd") / threshold).cast("long")
-    )
-    n_hubs = hubs.count()
-    if n_hubs == 0:
-        return nodes, edges, 0
+    deg = F.size("adj")
+    found = vertices.agg(
+        F.max("id").alias("max_id"),
+        F.collect_list(F.when(deg > threshold, F.struct("id", deg))).alias("hubs"),
+    ).first()
+    if not found["hubs"]:
+        return vertices, 0, None
+    floor = next_id = found["max_id"] + 1
+    copies = {}
+    for hub, d in sorted(found["hubs"]):
+        n = -(-d // threshold)
+        copies[hub] = [hub, *range(next_id, next_id + n - 1)]
+        next_id += n - 1
+    if next_id > 1 << 63:
+        raise ValueError(f"shadow nodes: mirror ids {floor}..{next_id - 1} overflow int64")
 
-    # split each hub's out-edges round-robin over its n_groups mirrors
-    w = F.row_number().over(Window.partitionBy("src").orderBy("dst"))
-    hub_out = (
-        edges.join(hubs, "src")
-        .withColumn("g", (w % F.col("n_groups")).cast("long"))
-        .withColumn("src", F.col("src") + F.col("g") * SHADOW_BASE)
-        .select("src", "dst")
+    table = F.map_from_arrays(
+        F.lit(list(copies)).cast(ArrayType(LongType())),
+        F.lit(list(copies.values())).cast(ArrayType(ArrayType(LongType()))),
     )
-    plain_out = edges.join(hubs.select("src"), "src", "left_anti").select("src", "dst")
 
-    # duplicate all in-edges of a hub to each mirror g >= 1
-    groups = hubs.select(
-        F.col("src").alias("hub"),
-        F.explode(F.sequence(F.lit(1), F.col("n_groups") - 1)).alias("g"),
+    def copies_of(col):
+        return F.coalesce(F.try_element_at(table, col), F.array(col))
+
+    own = copies_of(F.col("id"))
+    rows = vertices.select(
+        F.posexplode(own).alias("g", "copy"),
+        F.size(own).alias("n"),
+        F.flatten(F.transform("adj", copies_of)).alias("sends"),
+        "h",
+    ).select(
+        F.col("copy").alias("id"),
+        worker_of(F.col("copy")).alias("pid"),
+        F.filter(F.sort_array("sends"), lambda _, i: i % F.col("n") == F.col("g")).alias("adj"),
+        "h",
     )
-    dup_in = (
-        edges.join(groups, edges.dst == groups.hub)
-        .select(F.col("src"), (F.col("dst") + F.col("g") * SHADOW_BASE).alias("dst"))
-    )
-    edges2 = plain_out.unionByName(hub_out).unionByName(dup_in)
-
-    # mirror node rows copy the original's attributes under the mirror id
-    feat_cols = [c for c in nodes.columns if c != "id"]
-    mirrors = (
-        nodes.join(groups, nodes.id == groups.hub)
-        .select((F.col("id") + F.col("g") * SHADOW_BASE).alias("id"), *feat_cols)
-    )
-    nodes2 = nodes.unionByName(mirrors)
-    return nodes2, edges2, n_hubs
-
-
-def drop_mirrors(df: DataFrame, id_col: str = "id") -> DataFrame:
-    """Keep only original-node rows of an inference result."""
-    return df.filter(F.col(id_col) < SHADOW_BASE)
+    return rows, len(copies), floor

@@ -7,9 +7,9 @@ Three strategies, all sampling-free and result-preserving:
   annotated ``partial=True``.
 * ``broadcast`` — send one payload per ``(src, worker(dst))`` instead of
   one per out-edge; legal only for layers annotated ``broadcastable``.
-* ``shadow_nodes`` — split out-degree hubs into mirrors before inference
-  (see :mod:`repro.graphs.shadow`); threshold from the paper's heuristic
-  ``λ·E/W`` with λ = 0.1.
+* ``shadow_nodes`` — split out-degree hubs into mirrors, in the vertex
+  rows before the load (see :mod:`repro.graphs.shadow`); threshold from
+  the paper's heuristic ``λ·E/W`` with λ = 0.1.
 
 Backends read layer annotations from the model signature, so an illegal
 combination (e.g. partial-gather on GAT) silently degrades to the safe

@@ -119,12 +119,14 @@ def test_gat_ignores_partial_gather_safely(spark, graph, tmp_path, strat_key):
     _check(result, ref)
 
 
-def test_mr_and_pregel_bit_identical(spark, graph, tmp_path):
+@pytest.mark.parametrize("strat_key", ["none", "all"])
+def test_mr_and_pregel_bit_identical(spark, graph, tmp_path, strat_key):
     """The two backends implement the same abstraction: same bits out."""
     nodes, edges, g = graph
     model = MODELS["sage"]()
-    a, _ = infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr")
-    b, _ = infer_pregel(spark, nodes, edges, model)
+    strat = STRATS[strat_key]
+    a, _ = infer_mr(spark, nodes, edges, model, workdir=tmp_path / "mr", strategies=strat)
+    b, _ = infer_pregel(spark, nodes, edges, model, strategies=strat)
     pa = a.toPandas().sort_values("id").reset_index(drop=True)
     pb = b.toPandas().sort_values("id").reset_index(drop=True)
     np.testing.assert_array_equal(

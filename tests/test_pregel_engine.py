@@ -76,6 +76,18 @@ def test_sssp_matches_bfs(spark, graph, source):
         assert row["dist"] == ref.get(row["id"], -1)
 
 
+@pytest.mark.parametrize("program", ["pagerank", "sssp"])
+def test_zero_node_graph(spark, program):
+    nodes = spark.createDataFrame([], "id long, feat array<double>")
+    edges = spark.createDataFrame([], "src long, dst long")
+    if program == "pagerank":
+        out = pagerank(spark, nodes, edges, iterations=2)
+    else:
+        out = sssp(spark, nodes, edges, source=0, max_steps=2)
+    assert out.columns == ["id", "rank" if program == "pagerank" else "dist"]
+    assert out.count() == 0
+
+
 def test_build_vertices_adjacency(spark, graph):
     nodes, edges, g = graph
     verts = build_vertices(spark, nodes, edges)

@@ -7,24 +7,30 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.backends import pregel
+from repro.backends.common import N_WORKERS
 from repro.backends.mapreduce import infer_mr
 from repro.backends.pregel import infer_pregel
 from repro.core.model import build_gat, build_sage
 from repro.core.reference import forward_full
 from repro.graphs.generators import power_law_graph
 from repro.graphs.local import LocalGraph
+from repro.graphs.shadow import shadow_threshold
 from repro.strategies import StrategyConfig
 
 PG = StrategyConfig(partial_gather=True)
+ALL = StrategyConfig.all()
 
 
-def _per_backend(name, values, ids):
-    """Parametrize ``backend`` and ``name`` together, ``values`` on each
-    backend; the Pregel cases keep their bare ids."""
+def _per_backend(names, values, ids):
+    """Parametrize ``backend`` and ``names`` together, ``values`` on each
+    backend (a tuple per case for several names); the Pregel cases keep
+    their bare ids."""
     return pytest.mark.parametrize(
-        f"backend,{name}",
+        f"backend,{names}",
         [
-            pytest.param(backend, v, id=i if backend == "pregel" else f"mr-{i}")
+            pytest.param(
+                backend, *(v if "," in names else (v,)), id=i if backend == "pregel" else f"mr-{i}"
+            )
             for backend in ("pregel", "mr")
             for v, i in zip(values, ids)
         ],
@@ -47,31 +53,34 @@ def graph(spark):
     )
 
 
-@_per_backend("n_layers", [2, 3], ["2", "3"])
-def test_job_count_per_run(spark, graph, tmp_path, backend, n_layers):
+@_per_backend("n_layers,strat", [(2, PG), (3, PG), (2, ALL)], ["2", "3", "all-2"])
+def test_job_count_per_run(spark, graph, tmp_path, backend, n_layers, strat):
     """Load takes four jobs, each superstep two (its exchange, then its
     checkpoint, Parquet write or the collect). MapReduce's head has a
-    pass of its own, two jobs more."""
+    pass of its own, two jobs more. Shadow nodes add the hub detection
+    (the edge count and one aggregate over the vertex rows, six jobs)
+    and nothing to the load."""
     nodes, edges = graph
     model = build_sage(6, 10, 4, n_layers=n_layers, seed=1)
     sc = spark.sparkContext
-    group = f"{backend}-jobs-{n_layers}"
+    group = f"{backend}-jobs-{n_layers}-{strat.shadow_nodes}"
     sc.setJobGroup(group, "inference job count")
     try:
-        _infer(backend, spark, nodes, edges, model, tmp_path, strategies=PG)
+        _infer(backend, spark, nodes, edges, model, tmp_path, strategies=strat)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
-    bound = 2 * n_layers + (4 if backend == "pregel" else 6)
+    bound = 2 * n_layers + (4 if backend == "pregel" else 6) + (6 if strat.shadow_nodes else 0)
     assert len(sc.statusTracker().getJobIdsForGroup(group)) <= bound
 
 
-@STRATS
+@_per_backend("strat", [StrategyConfig.none(), PG, ALL], ["none", "pg", "all"])
 def test_frame_traffic_equals_accounting(spark, graph, tmp_path, monkeypatch, backend, strat):
     """Every frame entering a superstep's exchange holds each vertex once
-    plus exactly the message rows and payload floats ``count_comm``
-    accounts for that layer; MapReduce's final frame, which enters the
-    head's pass, holds the vertices alone."""
+    — hubs' mirrors included under shadow nodes — plus exactly the
+    message rows and payload floats ``count_comm`` accounts for that
+    layer; MapReduce's final frame, which enters the head's pass, holds
+    the original vertices alone."""
     nodes, edges = graph
     model = build_sage(6, 10, 4, n_layers=3, seed=1)
     frames = []
@@ -105,8 +114,18 @@ def test_frame_traffic_equals_accounting(spark, graph, tmp_path, monkeypatch, ba
         backend, spark, nodes, edges, model, tmp_path, strategies=strat, instrument=True
     )
     n = nodes.count()
-    expected = [(n, r.msg_rows, r.msg_floats) for r in stats.rounds]
+    mirrors = 0
+    if strat.shadow_nodes:  # a hub of out-degree d has ceil(d / threshold) - 1 mirrors
+        thr = shadow_threshold(edges.count(), N_WORKERS, strat.shadow_lambda)
+        deg = edges.groupBy("src").count()
+        mirrors = deg.select(F.sum(F.ceil(F.col("count") / thr) - 1)).first()[0]
+        assert mirrors > 0
+    expected = [(n + mirrors, r.msg_rows, r.msg_floats) for r in stats.rounds]
     assert frames == expected + ([(n, 0, 0)] if backend == "mr" else [])
+
+
+def _model(key, d):
+    return build_sage(d, 8, 3, seed=4) if key == "sage" else build_gat(d, 8, 3, heads=2, seed=4)
 
 
 def _edge_cases(n):
@@ -133,11 +152,72 @@ def test_inputs_off_the_happy_path(spark, tmp_path, backend, case, model_key, st
         pd.DataFrame({"src": np.asarray(src, "int64"), "dst": np.asarray(dst, "int64")}),
         "src long, dst long",
     )
-    model = (
-        build_sage(d, 8, 3, seed=4) if model_key == "sage" else build_gat(d, 8, 3, heads=2, seed=4)
-    )
+    model = _model(model_key, d)
     result, _ = _infer(backend, spark, nodes, edges, model, tmp_path, strategies=strat)
     pdf = result.toPandas().sort_values("id")
     assert pdf["id"].tolist() == list(range(n))
     ref = forward_full(model, LocalGraph.from_spark(nodes, edges))
     np.testing.assert_allclose(np.stack(pdf["logits"].to_numpy()), ref, atol=1e-8)
+
+
+@pytest.mark.parametrize("model_key", ["sage", "gat"])
+@_per_backend("strat", [StrategyConfig.none(), ALL], ["none", "all"])
+def test_zero_node_graph(spark, tmp_path, backend, model_key, strat):
+    nodes = spark.createDataFrame([], "id long, feat array<double>")
+    edges = spark.createDataFrame([], "src long, dst long")
+    model = _model(model_key, 6)
+    result, _ = _infer(backend, spark, nodes, edges, model, tmp_path, strategies=strat)
+    assert result.columns == ["id", "logits", "pred"]
+    assert result.count() == 0
+
+
+# node 0 sends to every node and so is a hub under all(): the threshold is
+# 1 at this size; its ids are relabelled per case
+_HUB_SRC = [0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 5, 0]
+_HUB_DST = [1, 2, 3, 4, 5, 0, 0, 4, 3, 0, 1, 0]
+ID_CASES = {
+    "ids_above_2^40": lambda i: i + (1 << 40),
+    "ids_near_int64_max": lambda i: i + (1 << 62),
+    "negative_hub_id": lambda i: np.where(i == 0, -3, i),
+}
+
+
+@pytest.mark.parametrize("case", list(ID_CASES))
+@pytest.mark.parametrize("model_key", ["sage", "gat"])
+@pytest.mark.parametrize("backend", ["pregel", "mr"])
+def test_node_ids_under_shadow_nodes(spark, tmp_path, backend, model_key, case):
+    """Mirror ids come from above the largest id, so any int64 ids work:
+    every node comes back exactly once, with the logits of the same graph
+    labelled 0..n-1."""
+    n, d = 6, 5
+    relabel = ID_CASES[case]
+    feat = np.random.default_rng(3).standard_normal((n, d))
+    ids = relabel(np.arange(n)).astype("int64")
+    nodes = spark.createDataFrame(pd.DataFrame({"id": ids, "feat": list(feat)}))
+    edges = spark.createDataFrame(
+        pd.DataFrame(
+            {"src": relabel(np.array(_HUB_SRC)), "dst": relabel(np.array(_HUB_DST))}
+        ).astype("int64")
+    )
+    model = _model(model_key, d)
+    result, _ = _infer(backend, spark, nodes, edges, model, tmp_path, strategies=ALL)
+    pdf = result.toPandas().sort_values("id")
+    assert pdf["id"].tolist() == sorted(ids.tolist())
+    ref = forward_full(model, LocalGraph(feat=feat, src=_HUB_SRC, dst=_HUB_DST))
+    np.testing.assert_allclose(
+        np.stack(pdf["logits"].to_numpy()), ref[np.argsort(ids)], atol=1e-8
+    )
+
+
+def test_mirror_ids_overflowing_int64_are_refused(spark):
+    """A hub whose mirrors would need ids past int64's largest value fails
+    at entry with a clear error."""
+    top = (1 << 63) - 1
+    nodes = spark.createDataFrame(
+        pd.DataFrame({"id": np.array([0, top], "int64"), "feat": list(np.eye(2))})
+    )
+    edges = spark.createDataFrame(
+        pd.DataFrame({"src": np.array([0, 0], "int64"), "dst": np.array([0, top], "int64")})
+    )
+    with pytest.raises(ValueError, match="int64"):
+        infer_pregel(spark, nodes, edges, build_sage(2, 4, 2, seed=1), strategies=ALL)

@@ -1,33 +1,54 @@
 """Shadow-nodes preprocessing: hub splitting is load-balancing without
-changing semantics (paper §IV-D-c)."""
+changing semantics (paper §IV-D-c). The rewrite works on the engine's
+vertex rows ``(id, pid, adj, h)``; rows with ``id < floor`` are the
+original nodes, the rest mirrors."""
 import pytest
 from pyspark.sql import functions as F
 
+from repro.backends.common import worker_of
+from repro.backends.mapreduce import infer_mr
+from repro.backends.pregel import build_vertices
+from repro.core.model import build_sage
 from repro.graphs.generators import power_law_graph
-from repro.graphs.shadow import (
-    SHADOW_BASE,
-    apply_shadow_nodes,
-    drop_mirrors,
-    mirror_group,
-    original_id,
-    shadow_threshold,
-)
+from repro.graphs.shadow import apply_shadow_nodes, shadow_threshold
 from repro.oracle import assert_equivalent
+from repro.strategies import StrategyConfig
 
 
 @pytest.fixture(scope="module")
 def skewed(spark):
-    """Out-degree-skewed graph with real hubs."""
-    return power_law_graph(
+    """Out-degree-skewed graph with real hubs, as vertex rows."""
+    nodes, edges = power_law_graph(
         spark, n_nodes=800, avg_degree=6, skew="out", alpha=1.4, feat_dim=4, seed=2
     )
+    return nodes, edges, build_vertices(spark, nodes, edges)
 
 
 @pytest.fixture(scope="module")
-def shadowed(skewed):
-    nodes, edges = skewed
-    out = apply_shadow_nodes(nodes, edges, threshold=50)
-    return skewed, out
+def shadowed(spark, skewed):
+    _, edges, verts = skewed
+    rows, n_hubs, floor = apply_shadow_nodes(verts, threshold=50)
+    return edges, verts, rows, n_hubs, floor, _copies(spark, verts, floor)
+
+
+def _copies(spark, verts, floor):
+    """``(orig, copy)`` for every hub copy, mirrors allocated as documented:
+    hubs in id order, ``ceil(d / 50) - 1`` consecutive ids each from
+    ``floor``; every other node is its own only copy."""
+    pairs, nxt = [], floor
+    for hub, d in sorted(verts.filter(F.size("adj") > 50).select("id", F.size("adj")).collect()):
+        n = -(-d // 50)
+        pairs += [(hub, hub), *((hub, m) for m in range(nxt, nxt + n - 1))]
+        nxt += n - 1
+    hubs = spark.createDataFrame(pairs, "orig long, copy long")
+    others = verts.select(F.col("id").alias("orig"), F.col("id").alias("copy")).join(
+        hubs, "orig", "left_anti"
+    )
+    return hubs.unionByName(others)
+
+
+def _sent(rows):
+    return rows.select(F.col("id").alias("src"), F.explode("adj").alias("dst"))
 
 
 def test_threshold_heuristic():
@@ -37,100 +58,94 @@ def test_threshold_heuristic():
 
 
 def test_hubs_detected(shadowed):
-    (_, edges), (_, _, n_hubs) = shadowed
+    edges, verts, rows, n_hubs, floor, _ = shadowed
     expect = edges.groupBy("src").count().filter("count > 50").count()
     assert n_hubs == expect and n_hubs > 0
+    assert floor == verts.agg(F.max("id")).first()[0] + 1
+    # a hub of out-degree d has ceil(d / 50) copies, itself included
+    want = edges.groupBy("src").count().select(F.sum(F.ceil(F.col("count") / 50) - 1)).first()[0]
+    assert rows.filter(F.col("id") >= floor).count() == want
 
 
 def test_mirror_out_degree_bounded(shadowed):
-    """Each (possibly mirrored) node keeps <= threshold out-edges toward
-    original destinations. (Duplicated in-edges toward mirrors add
-    out-edges to hub *senders* — the paper's acknowledged overhead — so
-    they are excluded from the bound.)"""
-    (_, _), (_, edges2, _) = shadowed
-    max_out = (
-        edges2.filter(F.col("dst") < SHADOW_BASE)
-        .groupBy("src")
-        .count()
-        .agg(F.max("count"))
-        .first()[0]
-    )
-    assert max_out <= 50
+    """Each row keeps <= threshold out-edges toward original
+    destinations. (Copies of in-edges toward mirrors add out-edges to hub
+    *senders* — the paper's acknowledged overhead — so they are excluded
+    from the bound.)"""
+    _, _, rows, _, floor, _ = shadowed
+    kept = F.size(F.filter("adj", lambda d: d < floor))
+    assert rows.agg(F.max(kept)).first()[0] <= 50
 
 
 def test_total_out_edges_preserved(shadowed):
     """Splitting only redistributes original out-edges over mirrors."""
-    (_, edges), (_, edges2, _) = shadowed
-    orig = edges.count()
-    # exclude the duplicated in-edges of mirrors (dst is a mirror id)
-    split_out = edges2.filter(F.col("dst") < SHADOW_BASE).count()
-    assert split_out == orig
+    edges, _, rows, _, floor, _ = shadowed
+    assert _sent(rows).filter(F.col("dst") < floor).count() == edges.count()
 
 
 def test_out_edge_multiset_preserved_oracle(shadowed):
-    """Collapsing mirror ids back must give exactly the original edges."""
-    (_, edges), (_, edges2, _) = shadowed
-    collapsed = edges2.filter(F.col("dst") < SHADOW_BASE).select(
-        original_id(F.col("src")).alias("src"), "dst"
+    """Folding mirror ids back onto their hubs must give exactly the
+    original edges."""
+    edges, _, rows, _, floor, copies = shadowed
+    folded = (
+        _sent(rows)
+        .filter(F.col("dst") < floor)
+        .join(copies.withColumnRenamed("copy", "src"), "src")
+        .select(F.col("orig").alias("src"), "dst")
     )
     assert_equivalent(
-        collapsed.groupBy("src", "dst").agg(F.count("*").alias("cnt")),
+        folded.groupBy("src", "dst").agg(F.count("*").alias("cnt")),
         "select src, dst, count(*) as cnt from edges group by src, dst",
         edges=edges,
     )
 
 
 def test_mirrors_have_all_in_edges(shadowed):
-    """Every mirror must receive a copy of each in-edge of its original."""
-    (_, edges), (nodes2, edges2, _) = shadowed
-    mirrors = nodes2.filter(F.col("id") >= SHADOW_BASE).select(
-        original_id(F.col("id")).alias("orig"), F.col("id").alias("mirror")
-    )
-    orig_in = edges.groupBy(F.col("dst").alias("orig")).agg(
-        F.count("*").alias("want")
-    )
-    mirror_in = edges2.filter(F.col("dst") >= SHADOW_BASE).groupBy(
-        F.col("dst").alias("mirror")
-    ).agg(F.count("*").alias("got"))
-    joined = (
-        mirrors.join(orig_in, "orig", "left")
-        .join(mirror_in, "mirror", "left")
-        .fillna(0, subset=["want", "got"])
-    )
-    assert joined.filter("want != got").count() == 0
+    """Every sender to a hub also sends to each of its mirrors (a hub's
+    own copies count as one sender)."""
+    _, _, rows, _, floor, copies = shadowed
+    sender = copies.select(F.col("copy").alias("src"), F.col("orig").alias("sender"))
+    sent = _sent(rows).join(sender, "src").select("sender", "dst")
+    mirrors = copies.filter(F.col("copy") >= floor)
+    to_hub = sent.join(mirrors, sent.dst == mirrors.orig).select("sender", "copy")
+    to_mirror = sent.join(mirrors, sent.dst == mirrors.copy).select("sender", "copy")
+    assert to_hub.count() > 0
+    assert to_hub.exceptAll(to_mirror).count() == 0
+    assert to_mirror.exceptAll(to_hub).count() == 0
 
 
 def test_mirror_nodes_copy_features(shadowed):
-    (_, _), (nodes2, _, _) = shadowed
-    mirrors = nodes2.filter(F.col("id") >= SHADOW_BASE).select(
-        original_id(F.col("id")).alias("id"), F.col("feat").alias("mfeat")
+    """Each copy carries its hub's ``h`` and lives on its own worker."""
+    _, verts, rows, _, _, copies = shadowed
+    got = rows.join(copies.withColumnRenamed("copy", "id"), "id").select(
+        "orig", F.col("h").alias("got"), "pid", "id"
     )
-    joined = mirrors.join(nodes2.filter(F.col("id") < SHADOW_BASE), "id")
-    bad = joined.filter(F.col("feat") != F.col("mfeat")).count()
-    assert bad == 0
-
-
-def test_id_encoding_roundtrip(spark):
-    df = spark.range(5).select(
-        (F.col("id") + 3 * SHADOW_BASE).alias("mid")
-    )
-    got = df.select(
-        original_id(F.col("mid")).alias("orig"), mirror_group(F.col("mid")).alias("g")
-    ).collect()
-    assert all(r["g"] == 3 for r in got)
-    assert sorted(r["orig"] for r in got) == [0, 1, 2, 3, 4]
+    assert got.count() == rows.count()
+    joined = got.join(verts.select(F.col("id").alias("orig"), "h"), "orig")
+    assert joined.filter(F.col("got") != F.col("h")).count() == 0
+    assert joined.filter(F.col("pid") != worker_of(F.col("id"))).count() == 0
 
 
 def test_noop_when_no_hubs(spark):
     nodes, edges = power_law_graph(
         spark, n_nodes=100, avg_degree=3, skew="none", feat_dim=4, seed=1
     )
-    n2, e2, n_hubs = apply_shadow_nodes(nodes, edges, threshold=10**9)
-    assert n_hubs == 0
-    assert n2 is nodes and e2 is edges
+    verts = build_vertices(spark, nodes, edges)
+    rows, n_hubs, floor = apply_shadow_nodes(verts, threshold=10**9)
+    assert n_hubs == 0 and floor is None
+    assert rows is verts
 
 
-def test_drop_mirrors(shadowed):
-    (nodes, _), (nodes2, _, _) = shadowed
-    kept = drop_mirrors(nodes2)
-    assert kept.count() == nodes.count()
+def test_drop_mirrors(spark, skewed, tmp_path):
+    """Inference drops the mirrors once, in the last layer: MapReduce's
+    final frame and its result hold the original nodes alone."""
+    nodes, edges, _ = skewed
+    model = build_sage(4, 8, 3, seed=1)
+    result, _ = infer_mr(
+        spark, nodes, edges, model, workdir=tmp_path, strategies=StrategyConfig.all()
+    )
+    (run,) = tmp_path.iterdir()
+    final = spark.read.parquet(str(run / f"state_{model.n_layers}.parquet"))
+    n = nodes.count()
+    assert final.filter(F.col("id").isNotNull()).count() == n
+    assert result.count() == n
