@@ -93,7 +93,7 @@ def run(spark: SparkSession, *, n_nodes: int = 20_000, avg_degree: float = 14) -
     # the (src, dst) stream the rewritten vertex rows send, mirror copies
     # of hub in-edges included
     thr = shadow_threshold(edges.count(), N_WORKERS)
-    verts, n_hubs, _ = apply_shadow_nodes(build_vertices(spark, nodes, edges), threshold=thr)
+    verts, n_hubs, _ = apply_shadow_nodes(build_vertices(nodes, edges), threshold=thr)
     sent = verts.select(F.col("id").alias("src"), F.explode("adj").alias("dst"))
     sn_out = _per_worker(sent, "src", dim * 8 + 16)
     rows.append(

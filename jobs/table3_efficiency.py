@@ -22,6 +22,7 @@ import tempfile
 
 from pyspark.sql import SparkSession
 
+from repro.backends.common import checkpoint, release
 from repro.backends.khop import infer_khop
 from repro.backends.mapreduce import infer_mr
 from repro.backends.pregel import infer_pregel
@@ -57,8 +58,7 @@ def run(
         feat_dim=feat_dim,
         seed=seed,
     )
-    nodes = nodes.localCheckpoint(eager=True)
-    edges = edges.localCheckpoint(eager=True)
+    nodes, edges = checkpoint(nodes), checkpoint(edges)
 
     # warm up every code path (JVM JIT, python workers, Arrow) on a tiny
     # subgraph so the first measured system doesn't absorb startup cost
@@ -108,8 +108,8 @@ def run(
                 "paper speedup (vs PyG)": round(paper["PyG"] / paper["On-MR"], 1),
             }
         )
-    nodes.unpersist()
-    edges.unpersist()
+    release(nodes)
+    release(edges)
     return rows
 
 

@@ -17,6 +17,7 @@ import tempfile
 
 from pyspark.sql import SparkSession
 
+from repro.backends.common import checkpoint, release
 from repro.backends.khop import KhopBudgetExceeded, infer_khop
 from repro.backends.mapreduce import infer_mr
 from repro.core.model import build_sage
@@ -52,8 +53,7 @@ def run(
         feat_dim=feat_dim,
         seed=seed,
     )
-    nodes = nodes.localCheckpoint(eager=True)
-    edges = edges.localCheckpoint(eager=True)
+    nodes, edges = checkpoint(nodes), checkpoint(edges)
     rows = []
     for hops in (1, 2, 3):
         model = build_sage(feat_dim, hidden, 4, n_layers=hops, seed=3)
@@ -65,7 +65,7 @@ def run(
                 )
                 row[f"{label} (s)"] = round(st.wall_s, 1)
                 row[f"{label} cpu·min"] = round(st.cpu_min(CORES), 1)
-                row[f"{label} rows"] = st._khop_rows
+                row[f"{label} rows"] = st.total_msg_rows
             except KhopBudgetExceeded as e:
                 row[f"{label} (s)"] = "OOM"
                 row[f"{label} cpu·min"] = "OOM"
@@ -79,8 +79,8 @@ def run(
             PAPER[k][hops] for k in ("nbr50", "nbr10000", "ours")
         )
         rows.append(row)
-    nodes.unpersist()
-    edges.unpersist()
+    release(nodes)
+    release(edges)
     return rows
 
 

@@ -8,6 +8,9 @@
   exact and machine-independent.
 * **Communication accounting** (:func:`count_comm`): the paper's message
   and byte counts per layer, derived from the edge stream.
+* **Local checkpoints** (:func:`checkpoint`, :func:`release`): the one
+  place that materializes a DataFrame in executor memory and drops it
+  again.
 """
 from __future__ import annotations
 
@@ -84,6 +87,33 @@ def count_comm(
         return rows, rows * layer.msg_dim
     rows = int(edges.count())
     return rows, rows * layer.msg_dim
+
+
+def checkpoint(df: DataFrame) -> DataFrame:
+    """``df`` materialized in executor memory with its lineage cut.
+
+    localCheckpoint keeps the state resident (the Pregel property) AND
+    truncates plan lineage — without it, iterative supersteps nest plans
+    until the driver OOMs. Release with :func:`release`, also when
+    materializing fails."""
+    cp = df.localCheckpoint(eager=False)
+    try:
+        _blocks(cp).count()  # one job, as an eager checkpoint runs
+    except BaseException:
+        release(cp)
+        raise
+    return cp
+
+
+def _blocks(cp: DataFrame):
+    """The JVM RDD holding a local checkpoint's blocks."""
+    return cp._jdf.queryExecution().analyzed().rdd()
+
+
+def release(cp: DataFrame) -> None:
+    """Drop a :func:`checkpoint` frame's blocks, which
+    ``DataFrame.unpersist`` does not reach."""
+    _blocks(cp).unpersist(False)
 
 
 def per_worker_io(msgs: DataFrame) -> pd.DataFrame:

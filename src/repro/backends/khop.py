@@ -3,8 +3,10 @@
 This reproduces what PyG/DGL-style systems do at inference time (paper
 §I, §V): for every target node, build its (sampled) k-hop in-neighborhood
 by iterative frontier expansion, then run a localized forward pass of the
-full k-layer GNN on that little subgraph. Two defining pathologies are
-faithfully present:
+full k-layer GNN on that little subgraph, one Arrow pass per target
+through the bucket kernel both InferTurbo backends use (its canonical
+orders and dst → row mapping, and its prediction head). Two defining
+pathologies are faithfully present:
 
 * **Redundant computation** — overlapping neighborhoods of different
   targets are each processed independently; the total row count grows
@@ -21,13 +23,14 @@ the paper's OOM cell.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
-from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
-from repro.backends.common import RunStats, Timer
+from repro.backends import kernel
+from repro.backends.common import RoundStats, RunStats, Timer, checkpoint, release
 from repro.core.model import GNNModel
+from repro.nn.autodiff import Tensor
 
 
 class KhopBudgetExceeded(RuntimeError):
@@ -57,6 +60,8 @@ def sample_khop_edges(
     redundancy). Sampling keeps at most ``fanout`` in-edges per
     ``(target, parent)``, ranked by a seed-keyed hash, so one seed gives
     one deterministic sample and different seeds give different samples.
+    ``sub_edges`` is a local checkpoint: the caller drops it with
+    :func:`repro.backends.common.release`.
     """
     frontier = targets.select(F.col("id").alias("target"), F.col("id").alias("node"))
     parts: list[DataFrame] = []
@@ -86,7 +91,7 @@ def sample_khop_edges(
         sub = sub.unionByName(p)
     # materialize once, then release the per-hop caches so repeated
     # pipeline runs don't accumulate executor-memory blocks
-    sub = sub.distinct().localCheckpoint(eager=True)
+    sub = checkpoint(sub.distinct())
     for p in parts:
         p.unpersist(blocking=False)
     return sub, total_rows
@@ -106,11 +111,27 @@ def infer_khop(
     """Baseline inference over all (or the given) target nodes.
 
     Returns ``(result, stats)``; ``result`` has ``(id, logits, pred)``
-    like the InferTurbo backends. ``stats.rounds`` is unused but
-    ``stats.total_msg_rows`` records the materialized neighborhood rows
-    (the baseline's communication+compute volume).
+    like the InferTurbo backends, and ``stats.total_msg_rows`` is the
+    materialized neighborhood rows (the baseline's communication+compute
+    volume). An edge endpoint without a node row is a ``ValueError``.
     """
     stats = RunStats(backend=f"khop(fanout={fanout})")
+    schema = kernel.head_schema(model.task)
+    in_dim = model.layers[0].in_dim
+
+    def localized(key: tuple, feats: pa.Table, sub: pa.Table) -> pa.Table:
+        """Forward the k-layer GNN on one target's sampled subgraph, nodes
+        sorted by id and edges by ``(dst, src)`` as the kernel reduces."""
+        feats = feats.take(kernel.order_by(feats, "id"))
+        sub = sub.take(kernel.order_by(sub, "dst", "src"))
+        ids = feats["id"].to_numpy()
+        src, dst = kernel.rows(ids, sub["src"].to_numpy()), kernel.rows(ids, sub["dst"].to_numpy())
+        h = Tensor(kernel.to_matrix(feats["feat"], in_dim))
+        for layer in model.layers:
+            h = layer.forward(h, src, dst)
+        pos = kernel.rows(ids, np.array([key[0].as_py()]))
+        return kernel.head(model, pa.table({"id": ids[pos], "h": kernel.from_matrix(h.data[pos])}))
+
     with Timer() as t:
         if targets is None:
             targets = nodes.select("id")
@@ -123,113 +144,28 @@ def infer_khop(
             seed=seed,
             row_budget=row_budget,
         )
-        # attach features of every node appearing in any subgraph
-        members = (
-            sub.select("target", F.col("src").alias("id"))
-            .unionByName(sub.select("target", F.col("dst").alias("id")))
-            .unionByName(targets.select(F.col("id").alias("target"), F.col("id")))
-            .distinct()
-        )
-        feats = members.join(nodes.select("id", "feat"), "id")
-
-        task = model.task
-        out_schema = StructType(
-            [
-                StructField("id", LongType()),
-                StructField("logits", ArrayType(DoubleType())),
-                StructField(
-                    "pred", LongType() if task == "multiclass" else ArrayType(LongType())
-                ),
-            ]
-        )
-        sig = model.signature()
-        weights = {k: p.data for k, p in model.parameters().items()}
-
-        def localized(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-            """Forward the k-layer GNN on one target's sampled subgraph."""
-            if left.empty:
-                return pd.DataFrame(
-                    {"id": pd.Series(dtype="int64"), "logits": [], "pred": []}
-                )
-            mdl = _rebuild(sig, weights)
-            tgt = int(left["target"].iloc[0])
-            ids = left["id"].to_numpy()
-            order = np.argsort(ids)
-            ids = ids[order]
-            feat = np.stack(left["feat"].to_numpy())[order]
-            if right.empty:
-                lsrc = np.zeros(0, dtype=np.int64)
-                ldst = np.zeros(0, dtype=np.int64)
-            else:
-                # fixed edge order -> bit-deterministic float reductions
-                right = right.sort_values(["dst", "src"], kind="stable")
-                lsrc = np.searchsorted(ids, right["src"].to_numpy())
-                ldst = np.searchsorted(ids, right["dst"].to_numpy())
-            logits = mdl.forward_local(feat, lsrc, ldst).data
-            pos = int(np.searchsorted(ids, tgt))
-            lg = logits[pos]
-            if task == "multiclass":
-                return pd.DataFrame({"id": [tgt], "logits": [lg], "pred": [int(lg.argmax())]})
-            return pd.DataFrame(
-                {"id": [tgt], "logits": [lg], "pred": [(lg > 0).astype("int64")]}
+        try:
+            # attach features of every node appearing in any subgraph
+            members = (
+                sub.select("target", F.col("src").alias("id"))
+                .unionByName(sub.select("target", F.col("dst").alias("id")))
+                .unionByName(targets.select(F.col("id").alias("target"), F.col("id")))
+                .distinct()
             )
-
-        # rename the key on one side: both frames share lineage through
-        # ``sub``, and Spark's ambiguous-self-join check rejects a cogroup
-        # on two identically-named columns from the same plan subtree
-        sub_renamed = sub.select(
-            F.col("target").alias("tgt"), F.col("src"), F.col("dst")
-        )
-        result = (
-            feats.groupBy("target")
-            .cogroup(sub_renamed.groupBy("tgt"))
-            .applyInPandas(localized, out_schema)
-        )
-        pdf = result.toPandas()
-        sub.unpersist(blocking=False)
-        result = spark.createDataFrame(pdf, schema=out_schema)
+            feats = members.join(nodes.select("id", "feat"), "id")
+            # rename the key on one side: both frames share lineage through
+            # ``sub``, and Spark's ambiguous-self-join check rejects a cogroup
+            # on two identically-named columns from the same plan subtree
+            sub_renamed = sub.select(F.col("target").alias("tgt"), F.col("src"), F.col("dst"))
+            pdf = (
+                feats.groupBy("target")
+                .cogroup(sub_renamed.groupBy("tgt"))
+                .applyInArrow(localized, schema)
+                .toPandas()
+            )
+        finally:
+            release(sub)
+        result = spark.createDataFrame(pdf, schema)
     stats.wall_s = t.wall_s
-    stats.rounds = []
-    stats._khop_rows = rows  # type: ignore[attr-defined]
+    stats.rounds = [RoundStats(layer=0, msg_rows=rows)]
     return result, stats
-
-
-_MODEL_CACHE: dict[int, GNNModel] = {}
-
-
-def _rebuild(sig: dict, weights: dict) -> GNNModel:
-    """Reconstruct the model from its signature inside executors.
-
-    Models are tiny; a per-process cache avoids rebuilding for each of
-    the thousands of target groups.
-    """
-    key = id(weights)
-    mdl = _MODEL_CACHE.get(key)
-    if mdl is None:
-        from repro.core.gat import GATConv
-        from repro.core.model import Dense, GNNModel
-        from repro.core.sage import SAGEConv
-
-        layers = []
-        for ls in sig["layers"]:
-            if ls["kind"] == "sage":
-                layers.append(
-                    SAGEConv(ls["in_dim"], ls["out_dim"], agg=ls["aggregator"], act=ls["act"])
-                )
-            else:
-                layers.append(
-                    GATConv(
-                        ls["in_dim"],
-                        ls["out_dim"],
-                        heads=ls["heads"],
-                        act=ls["act"],
-                        leaky=ls["leaky"],
-                    )
-                )
-        head = Dense(sig["head"]["in_dim"], sig["head"]["out_dim"])
-        mdl = GNNModel(layers, head, task=sig["task"])
-        for k, p in mdl.parameters().items():
-            p.data = weights[k]
-        _MODEL_CACHE.clear()
-        _MODEL_CACHE[key] = mdl
-    return mdl

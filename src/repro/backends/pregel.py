@@ -48,7 +48,16 @@ from pyspark.sql.types import (
 )
 
 from repro.backends import kernel
-from repro.backends.common import N_WORKERS, RoundStats, RunStats, Timer, count_comm, worker_of
+from repro.backends.common import (
+    N_WORKERS,
+    RoundStats,
+    RunStats,
+    Timer,
+    checkpoint,
+    count_comm,
+    release,
+    worker_of,
+)
 from repro.core.gas import Aggregator
 from repro.core.model import GNNModel
 from repro.graphs import shadow
@@ -72,9 +81,7 @@ SendFn = Callable[[pa.Table], pa.Table]
 ComputeFn = Callable[[int, pa.Table, pa.Table], pa.Table]
 
 
-def build_vertices(
-    spark: SparkSession, nodes: DataFrame, edges: DataFrame, *, state_col: str = "feat"
-) -> DataFrame:
+def build_vertices(nodes: DataFrame, edges: DataFrame, *, state_col: str = "feat") -> DataFrame:
     """Partition the graph Pregel-style: each vertex row carries its id,
     logical worker, out-adjacency list, and state ``h`` (initialized from
     a node column)."""
@@ -138,33 +145,6 @@ def out_messages(verts: pa.Table, payload: pa.Array | pa.ChunkedArray) -> pa.Tab
 # -- the engine --------------------------------------------------------------------
 
 
-def _checkpoint(df: DataFrame) -> DataFrame:
-    """``df`` materialized in executor memory with its lineage cut.
-
-    localCheckpoint keeps the state resident (the Pregel property) AND
-    truncates plan lineage — without it, iterative supersteps nest plans
-    until the driver OOMs. Release with :func:`_release`, also when
-    materializing fails."""
-    cp = df.localCheckpoint(eager=False)
-    try:
-        _blocks(cp).count()  # one job, as an eager checkpoint runs
-    except BaseException:
-        _release(cp)
-        raise
-    return cp
-
-
-def _blocks(cp: DataFrame):
-    """The JVM RDD holding a local checkpoint's blocks."""
-    return cp._jdf.queryExecution().analyzed().rdd()
-
-
-def _release(cp: DataFrame) -> None:
-    """Drop a :func:`_checkpoint` frame's blocks, which
-    ``DataFrame.unpersist`` does not reach."""
-    _blocks(cp).unpersist(False)
-
-
 class Pregel:
     """Superstep driver over one frame of vertex and message rows
     (:data:`FRAME_SCHEMA`).
@@ -193,7 +173,7 @@ class Pregel:
     def _keep(self, k: int, df: DataFrame) -> DataFrame:
         """``df`` stored as frame ``k`` where frames live, and read back."""
         if self.rundir is None:
-            return _checkpoint(df)
+            return checkpoint(df)
         path = str(self.rundir / f"state_{k}.parquet")
         df.write.parquet(path)
         return df.sparkSession.read.schema(FRAME_SCHEMA).parquet(path)
@@ -201,7 +181,7 @@ class Pregel:
     def _drop(self, frame: DataFrame) -> None:
         """Release a resident frame's blocks; a stored frame stays."""
         if self.rundir is None:
-            _release(frame)
+            release(frame)
 
     @property
     def vertices(self) -> DataFrame:
@@ -276,7 +256,7 @@ def pagerank(
     """PageRank as a Pregel vertex program → (id, rank)."""
     n = max(nodes.count(), 1)  # an empty graph has no rank to share
     verts = build_vertices(
-        spark, nodes.select("id", F.array(F.lit(1.0 / n)).alias("r")), edges, state_col="r"
+        nodes.select("id", F.array(F.lit(1.0 / n)).alias("r")), edges, state_col="r"
     )
     agg = _ScalarReduce(np.add, 0.0)
 
@@ -308,7 +288,6 @@ def sssp(
     unreachable nodes get dist = -1."""
     INF = 1e18
     verts = build_vertices(
-        spark,
         nodes.select(
             "id",
             F.when(F.col("id") == source, F.array(F.lit(0.0)))
@@ -371,7 +350,7 @@ def load_gnn(
     mirrors again; with ``instrument``, ``stats`` gets each layer's
     traffic as :func:`count_comm` accounts it from the vertex rows' edges.
     """
-    verts = build_vertices(spark, nodes, edges)
+    verts = build_vertices(nodes, edges)
     floor = None
     if strategies.shadow_nodes:
         thr = shadow.shadow_threshold(edges.count(), N_WORKERS, strategies.shadow_lambda)

@@ -1,7 +1,9 @@
 """Every module under ``src/repro`` imports, so a deletion that leaves a
-dangling import fails here in seconds rather than inside a Spark job."""
+dangling import fails here in seconds rather than inside a Spark job; and
+the modules keep to the shared Arrow data path and checkpoint lifecycle."""
 import importlib
 import pkgutil
+from pathlib import Path
 
 import repro
 
@@ -11,3 +13,14 @@ def test_every_module_imports():
     assert "repro.backends.kernel" in names
     for name in names:
         importlib.import_module(name)
+
+
+def test_arrow_passes_and_one_checkpoint_owner():
+    """Python passes go through Arrow, never pandas batches, and only
+    ``backends/common.py`` makes (and so releases) local checkpoints."""
+    root = Path(repro.__file__).parent
+    for path in root.rglob("*.py"):
+        text = path.read_text()
+        assert "applyInPandas" not in text and "mapInPandas" not in text, path
+        if path != root / "backends" / "common.py":
+            assert "localCheckpoint" not in text, path

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.backends.common import release
 from repro.backends.khop import KhopBudgetExceeded, infer_khop, sample_khop_edges
 from repro.core.model import build_sage
 from repro.core.reference import forward_full
@@ -62,20 +63,24 @@ def test_redundancy_exists(spark, graph):
 
 def test_full_fanout_matches_reference(spark, graph, model):
     nodes, edges, g = graph
-    ref_pred = model.predict(forward_full(model, g))
+    ref = forward_full(model, g)
+    ref_pred = model.predict(ref)
     res, _ = infer_khop(spark, nodes, edges, model, fanout=FULL, seed=0)
     pdf = res.toPandas().sort_values("id")
     assert (pdf["pred"].to_numpy() == ref_pred[pdf["id"].to_numpy()]).all()
     assert len(pdf) == g.n
+    logits = np.stack(pdf["logits"].to_numpy())
+    assert np.allclose(logits, ref[pdf["id"].to_numpy()], atol=1e-8)
 
 
 def test_same_seed_is_deterministic(spark, graph, model):
     nodes, edges, _ = graph
     a, _ = infer_khop(spark, nodes, edges, model, fanout=2, seed=5)
     b, _ = infer_khop(spark, nodes, edges, model, fanout=2, seed=5)
-    pa = a.toPandas().sort_values("id")["pred"].to_numpy()
-    pb = b.toPandas().sort_values("id")["pred"].to_numpy()
+    a, b = a.toPandas().sort_values("id"), b.toPandas().sort_values("id")
+    pa, pb = a["pred"].to_numpy(), b["pred"].to_numpy()
     assert (pa == pb).all()
+    np.testing.assert_array_equal(np.stack(a["logits"]), np.stack(b["logits"]))
 
 
 def test_different_seeds_flip_predictions(spark, graph, model):
@@ -86,6 +91,24 @@ def test_different_seeds_flip_predictions(spark, graph, model):
     pa = a.toPandas().sort_values("id")["pred"].to_numpy()
     pb = b.toPandas().sort_values("id")["pred"].to_numpy()
     assert (pa != pb).any()
+
+
+def test_stats_count_neighborhood_rows(spark, graph, model):
+    """``total_msg_rows`` is the sampled neighborhood volume the run made."""
+    nodes, edges, _ = graph
+    sub, rows = sample_khop_edges(
+        spark, edges, nodes.select("id"), hops=model.n_layers, fanout=2, seed=4
+    )
+    release(sub)
+    _, stats = infer_khop(spark, nodes, edges, model, fanout=2, seed=4)
+    assert stats.total_msg_rows == rows > 0
+
+
+def test_edge_endpoint_without_node_row_raises(spark, graph, model):
+    nodes, edges, _ = graph
+    missing = edges.filter(F.col("src") != F.col("dst")).first()["src"]
+    with pytest.raises(Exception, match=f"unknown node id {missing}"):
+        infer_khop(spark, nodes.filter(F.col("id") != missing), edges, model, fanout=FULL)
 
 
 def test_row_budget_raises(spark, graph, model):

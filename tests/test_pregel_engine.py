@@ -90,7 +90,7 @@ def test_zero_node_graph(spark, program):
 
 def test_build_vertices_adjacency(spark, graph):
     nodes, edges, g = graph
-    verts = build_vertices(spark, nodes, edges)
+    verts = build_vertices(nodes, edges)
     pdf = verts.toPandas().set_index("id")
     out_deg = np.bincount(g.src, minlength=g.n)
     for v in [0, 1, 5, 100]:
@@ -105,7 +105,7 @@ def _messages_rows(eng) -> int:
 def test_vertices_preserved_across_supersteps(spark, graph):
     """compute() returning states untouched must keep the vertex set."""
     nodes, edges, _ = graph
-    eng = Pregel(build_vertices(spark, nodes, edges), lambda v: out_messages(v, v["h"]))
+    eng = Pregel(build_vertices(nodes, edges), lambda v: out_messages(v, v["h"]))
     before = eng.vertices.count()
 
     def compute(step, verts, msgs):
@@ -119,6 +119,6 @@ def test_vertices_preserved_across_supersteps(spark, graph):
 
 def test_scatter_emits_one_message_per_edge(spark, graph):
     nodes, edges, _ = graph
-    eng = Pregel(build_vertices(spark, nodes, edges), lambda v: out_messages(v, v["h"]))
+    eng = Pregel(build_vertices(nodes, edges), lambda v: out_messages(v, v["h"]))
     assert _messages_rows(eng) == edges.count()
     eng.stop()

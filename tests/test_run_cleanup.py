@@ -1,7 +1,9 @@
 """Inference runs leave the caller's files alone, and release what they
-create when they fail (Parquet rounds) or finish (resident vertex state)."""
+create when they fail (Parquet rounds) or finish (resident vertex state,
+the k-hop baseline's neighborhoods)."""
 import pytest
 
+from repro.backends.khop import KhopBudgetExceeded, infer_khop
 from repro.backends.mapreduce import infer_mr
 from repro.backends.pregel import infer_pregel
 from repro.core.model import build_sage
@@ -20,6 +22,8 @@ def _persistent_rdds(spark) -> set:
 def _run(backend, spark, nodes, edges, model, workdir):
     if backend == "mr":
         return infer_mr(spark, nodes, edges, model, workdir=workdir)
+    if backend == "khop":
+        return infer_khop(spark, nodes, edges, model, fanout=3)
     return infer_pregel(spark, nodes, edges, model)
 
 
@@ -37,7 +41,7 @@ def test_mr_keeps_callers_files(spark, graph, tmp_path):
         assert (run / "state_1.parquet").is_dir() and (run / "result.parquet").is_dir()
 
 
-@pytest.mark.parametrize("backend", ["mr", "pregel"])
+@pytest.mark.parametrize("backend", ["mr", "pregel", "khop"])
 def test_failed_run_leaves_nothing_behind(spark, graph, tmp_path, backend):
     nodes, edges = graph  # 6-wide features
     model = build_sage(7, 10, 4)
@@ -53,4 +57,15 @@ def test_pregel_releases_vertex_state(spark, graph):
     before = _persistent_rdds(spark)
     result, _ = infer_pregel(spark, nodes, edges, build_sage(6, 10, 4))
     assert result.count() == nodes.count()
+    assert _persistent_rdds(spark) <= before
+
+
+def test_khop_releases_neighborhoods(spark, graph):
+    nodes, edges = graph
+    model = build_sage(6, 10, 4)
+    before = _persistent_rdds(spark)
+    result, _ = infer_khop(spark, nodes, edges, model, fanout=3, seed=0)
+    assert result.count() == nodes.count()
+    with pytest.raises(KhopBudgetExceeded):
+        infer_khop(spark, nodes, edges, model, fanout=3, seed=0, row_budget=10)
     assert _persistent_rdds(spark) <= before

@@ -21,7 +21,7 @@ def skewed(spark):
     nodes, edges = power_law_graph(
         spark, n_nodes=800, avg_degree=6, skew="out", alpha=1.4, feat_dim=4, seed=2
     )
-    return nodes, edges, build_vertices(spark, nodes, edges)
+    return nodes, edges, build_vertices(nodes, edges)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ def test_noop_when_no_hubs(spark):
     nodes, edges = power_law_graph(
         spark, n_nodes=100, avg_degree=3, skew="none", feat_dim=4, seed=1
     )
-    verts = build_vertices(spark, nodes, edges)
+    verts = build_vertices(nodes, edges)
     rows, n_hubs, floor = apply_shadow_nodes(verts, threshold=10**9)
     assert n_hubs == 0 and floor is None
     assert rows is verts
