@@ -20,6 +20,7 @@ from __future__ import annotations
 import sys
 import tempfile
 
+from _session import get_session, print_table, warm_up
 from pyspark.sql import SparkSession
 
 from repro.backends.common import checkpoint, release
@@ -60,16 +61,7 @@ def run(
     )
     nodes, edges = checkpoint(nodes), checkpoint(edges)
 
-    # warm up every code path (JVM JIT, python workers, Arrow) on a tiny
-    # subgraph so the first measured system doesn't absorb startup cost
-    wn, we = power_law_graph(
-        spark, n_nodes=200, avg_degree=4, skew="none", feat_dim=feat_dim, seed=99
-    )
-    wmodel = build_sage(feat_dim, hidden, 4, seed=3)
-    infer_khop(spark, wn, we, wmodel, fanout=3, seed=1)
-    with tempfile.TemporaryDirectory() as tmp:
-        infer_mr(spark, wn, we, wmodel, workdir=tmp)
-    infer_pregel(spark, wn, we, wmodel)
+    warm_up(spark, feat_dim=feat_dim, hidden=hidden)
 
     rows = []
     for algo in ("SAGE", "GAT"):
@@ -114,9 +106,6 @@ def run(
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
-    from _session import get_session, print_table
-
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 8000
     spark = get_session("table3")
     print_table("Table III — time & resource by system (ours vs paper)", run(spark, n_nodes=n))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 import tempfile
 
+from _session import get_session, print_table, warm_up
 from pyspark.sql import SparkSession
 
 from repro.backends.common import checkpoint, release
@@ -54,6 +55,7 @@ def run(
         seed=seed,
     )
     nodes, edges = checkpoint(nodes), checkpoint(edges)
+    warm_up(spark, feat_dim=feat_dim, hidden=hidden)
     rows = []
     for hops in (1, 2, 3):
         model = build_sage(feat_dim, hidden, 4, n_layers=hops, seed=3)
@@ -70,11 +72,15 @@ def run(
                 row[f"{label} (s)"] = "OOM"
                 row[f"{label} cpu·min"] = "OOM"
                 row[f"{label} rows"] = f">{e.budget}"
+        # timed plain; the message counts come from a second, instrumented
+        # run, whose counting jobs would otherwise land in the timing
         with tempfile.TemporaryDirectory() as tmp:
-            _, st = infer_mr(spark, nodes, edges, model, workdir=tmp, instrument=True)
+            _, st = infer_mr(spark, nodes, edges, model, workdir=tmp)
+        with tempfile.TemporaryDirectory() as tmp:
+            _, counted = infer_mr(spark, nodes, edges, model, workdir=tmp, instrument=True)
         row["ours (s)"] = round(st.wall_s, 1)
         row["ours cpu·min"] = round(st.cpu_min(CORES), 1)
-        row["ours rows"] = st.total_msg_rows
+        row["ours rows"] = counted.total_msg_rows
         row["paper (nbr50/nbr10000/ours min)"] = "/".join(
             PAPER[k][hops] for k in ("nbr50", "nbr10000", "ours")
         )
@@ -85,9 +91,6 @@ def run(
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent))
-    from _session import get_session, print_table
-
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 4000
     spark = get_session("table4")
     print_table("Table IV — cost vs hops (ours vs paper)", run(spark, n_nodes=n))

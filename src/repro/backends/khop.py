@@ -43,7 +43,6 @@ class KhopBudgetExceeded(RuntimeError):
 
 
 def sample_khop_edges(
-    spark: SparkSession,
     edges: DataFrame,
     targets: DataFrame,
     *,
@@ -136,13 +135,7 @@ def infer_khop(
         if targets is None:
             targets = nodes.select("id")
         sub, rows = sample_khop_edges(
-            spark,
-            edges,
-            targets,
-            hops=model.n_layers,
-            fanout=fanout,
-            seed=seed,
-            row_budget=row_budget,
+            edges, targets, hops=model.n_layers, fanout=fanout, seed=seed, row_budget=row_budget
         )
         try:
             # attach features of every node appearing in any subgraph

@@ -19,8 +19,7 @@ workers; vertex rows cross the exchange too, once, into their own
 worker's group, because a stored frame (checkpoint or Parquet) forgets
 the partitioning the planner would need to skip it.
 
-The engine is validated on classic vertex programs (PageRank, SSSP — see
-tests) before carrying GNNs. :func:`load_gnn` runs one GAS layer per
+:func:`load_gnn` is the engine's vertex program: one GAS layer per
 superstep with the paper's combiner trick — the *aggregate* part of a
 ``partial=True`` layer runs sender-side. Both backends run it:
 :func:`infer_pregel` over resident frames, with the prediction head in
@@ -33,7 +32,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
@@ -58,7 +56,6 @@ from repro.backends.common import (
     release,
     worker_of,
 )
-from repro.core.gas import Aggregator
 from repro.core.model import GNNModel
 from repro.graphs import shadow
 from repro.strategies import StrategyConfig
@@ -81,13 +78,13 @@ SendFn = Callable[[pa.Table], pa.Table]
 ComputeFn = Callable[[int, pa.Table, pa.Table], pa.Table]
 
 
-def build_vertices(nodes: DataFrame, edges: DataFrame, *, state_col: str = "feat") -> DataFrame:
+def build_vertices(nodes: DataFrame, edges: DataFrame) -> DataFrame:
     """Partition the graph Pregel-style: each vertex row carries its id,
     logical worker, out-adjacency list, and state ``h`` (initialized from
-    a node column)."""
+    the node features)."""
     adj = edges.groupBy(F.col("src").alias("id")).agg(F.collect_list("dst").alias("adj"))
     return (
-        nodes.select("id", F.col(state_col).alias("h"))
+        nodes.select("id", F.col("feat").alias("h"))
         .join(adj, "id", "left")
         .select(
             "id",
@@ -183,11 +180,6 @@ class Pregel:
         if self.rundir is None:
             release(frame)
 
-    @property
-    def vertices(self) -> DataFrame:
-        """The current vertex rows ``(id, pid, adj, h)``."""
-        return self.frame.filter(F.col("id").isNotNull()).select(*VERTEX_SCHEMA.names)
-
     def superstep(
         self, step: int, compute: ComputeFn, *, schema: StructType = FRAME_SCHEMA
     ) -> DataFrame:
@@ -210,117 +202,6 @@ class Pregel:
 
     def stop(self) -> None:
         self._drop(self.frame)
-
-
-# -- classic vertex programs (substrate validation) ---------------------------
-
-
-class _ScalarReduce(Aggregator):
-    """A scalar reduce by a NumPy ufunc with its identity; partials are
-    reduced the same way, so one class serves sender and receiver."""
-
-    def __init__(self, ufunc: np.ufunc, identity: float):
-        super().__init__(1)
-        self.ufunc, self.identity = ufunc, identity
-
-    def lift_segments(self, msgs, seg, n):
-        out = np.full((n, 1), self.identity)
-        self.ufunc.at(out, seg, msgs)
-        return out
-
-
-def _gather(agg: _ScalarReduce, verts: pa.Table, msgs: pa.Table) -> tuple[pa.Table, np.ndarray]:
-    """``verts`` sorted by id, and the reduce of the scalar messages to
-    each (the identity for none), taken in ``(dst, src)`` order."""
-    verts = verts.take(kernel.order_by(verts, "id"))
-    order = kernel.order_by(msgs, "dst", "src")
-    seg = kernel.rows(verts["id"].to_numpy(), msgs["dst"].to_numpy()[order])
-    vals = kernel.to_matrix(msgs["payload"], 1)[order]
-    return verts, agg.lift_segments(vals, seg, verts.num_rows)[:, 0]
-
-
-def _send_scalar(agg: _ScalarReduce, verts: pa.Table, value: np.ndarray) -> pa.Table:
-    """``value`` of each vertex row along its out-edges, combined per
-    ``(sender worker, dst)``."""
-    return kernel.combine(agg, out_messages(verts, kernel.from_matrix(value[:, None])))
-
-
-def pagerank(
-    spark: SparkSession,
-    nodes: DataFrame,
-    edges: DataFrame,
-    *,
-    iterations: int = 10,
-    damping: float = 0.85,
-) -> DataFrame:
-    """PageRank as a Pregel vertex program → (id, rank)."""
-    n = max(nodes.count(), 1)  # an empty graph has no rank to share
-    verts = build_vertices(
-        nodes.select("id", F.array(F.lit(1.0 / n)).alias("r")), edges, state_col="r"
-    )
-    agg = _ScalarReduce(np.add, 0.0)
-
-    def send(verts: pa.Table) -> pa.Table:  # each out-edge carries a share of the rank
-        deg = pc.list_value_length(verts["adj"]).to_numpy()
-        rank = kernel.to_matrix(verts["h"], 1)[:, 0]
-        return _send_scalar(agg, verts, rank / np.maximum(deg, 1))
-
-    def compute(step: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
-        verts, incoming = _gather(agg, verts, msgs)
-        rank = (1 - damping) / n + damping * incoming
-        verts = kernel.with_state(verts, rank[:, None])
-        return frame(verts, send(verts) if step + 1 < iterations else None)
-
-    eng = Pregel(verts, send)
-    try:
-        for step in range(iterations):
-            eng.superstep(step, compute)
-        result = eng.vertices.select("id", F.col("h")[0].alias("rank")).toPandas()
-    finally:
-        eng.stop()
-    return spark.createDataFrame(result, "id long, rank double")
-
-
-def sssp(
-    spark: SparkSession, nodes: DataFrame, edges: DataFrame, *, source: int, max_steps: int = 20
-) -> DataFrame:
-    """Unweighted single-source shortest paths (BFS) → (id, dist);
-    unreachable nodes get dist = -1."""
-    INF = 1e18
-    verts = build_vertices(
-        nodes.select(
-            "id",
-            F.when(F.col("id") == source, F.array(F.lit(0.0)))
-            .otherwise(F.array(F.lit(INF)))
-            .alias("d"),
-        ),
-        edges,
-        state_col="d",
-    )
-    agg = _ScalarReduce(np.minimum, INF)
-
-    def send(verts: pa.Table) -> pa.Table:  # reached vertices offer dist + 1
-        dist = kernel.to_matrix(verts["h"], 1)[:, 0]
-        reached = dist < INF
-        return _send_scalar(agg, verts.filter(pa.array(reached)), dist[reached] + 1)
-
-    def compute(step: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
-        verts, cand = _gather(agg, verts, msgs)
-        dist = np.minimum(kernel.to_matrix(verts["h"], 1)[:, 0], cand)
-        verts = kernel.with_state(verts, dist[:, None])
-        return frame(verts, send(verts) if step + 1 < max_steps else None)
-
-    eng = Pregel(verts, send)
-    try:
-        for step in range(max_steps):
-            eng.superstep(step, compute)
-        result = eng.vertices.select(
-            "id",
-            F.when(F.col("h")[0] >= INF, F.lit(-1.0)).otherwise(F.col("h")[0]).alias("dist"),
-        ).toPandas()
-    finally:
-        eng.stop()
-    return spark.createDataFrame(result, "id long, dist double")
 
 
 # -- GNN inference on the Pregel engine ---------------------------------------

@@ -1,8 +1,10 @@
 """Every module under ``src/repro`` imports, so a deletion that leaves a
 dangling import fails here in seconds rather than inside a Spark job; and
-the modules keep to the shared Arrow data path and checkpoint lifecycle."""
+the modules keep to the shared Arrow data path, checkpoint lifecycle and
+reduce kernel."""
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import repro
@@ -24,3 +26,13 @@ def test_arrow_passes_and_one_checkpoint_owner():
         assert "applyInPandas" not in text and "mapInPandas" not in text, path
         if path != root / "backends" / "common.py":
             assert "localCheckpoint" not in text, path
+
+
+def test_one_copy_of_the_ordering_and_scatter_kernels():
+    """Under ``backends/``, only ``kernel.py`` orders rows or scatters into
+    segments, so every reduction runs through one ``(dst, src)`` order."""
+    backends = Path(repro.__file__).parent / "backends"
+    primitives = re.compile(r"np\.(lexsort|argsort|searchsorted)\b|\.at\(")
+    for path in backends.rglob("*.py"):
+        if path.name != "kernel.py":
+            assert not primitives.search(path.read_text()), path

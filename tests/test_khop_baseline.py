@@ -32,7 +32,7 @@ def test_one_hop_full_fanout_oracle(spark, graph):
     """1-hop unsampled neighborhood == SQL join of targets with in-edges."""
     nodes, edges, _ = graph
     targets = nodes.select("id").limit(30)
-    sub, _ = sample_khop_edges(spark, edges, targets, hops=1, fanout=FULL, seed=0)
+    sub, _ = sample_khop_edges(edges, targets, hops=1, fanout=FULL, seed=0)
     assert_equivalent(
         sub,
         "select t.id as target, e.src, e.dst from targets t "
@@ -45,7 +45,7 @@ def test_one_hop_full_fanout_oracle(spark, graph):
 def test_fanout_cap_enforced(spark, graph):
     nodes, edges, _ = graph
     targets = nodes.select("id")
-    sub, _ = sample_khop_edges(spark, edges, targets, hops=2, fanout=3, seed=0)
+    sub, _ = sample_khop_edges(edges, targets, hops=2, fanout=3, seed=0)
     worst = sub.groupBy("target", "dst").count().agg(F.max("count")).first()[0]
     assert worst <= 3
 
@@ -55,7 +55,7 @@ def test_redundancy_exists(spark, graph):
     the baseline's defining redundant computation."""
     nodes, edges, _ = graph
     sub, rows = sample_khop_edges(
-        spark, edges, nodes.select("id"), hops=2, fanout=FULL, seed=0
+        edges, nodes.select("id"), hops=2, fanout=FULL, seed=0
     )
     distinct_edges = sub.select("src", "dst").distinct().count()
     assert sub.count() > 2 * distinct_edges
@@ -97,7 +97,7 @@ def test_stats_count_neighborhood_rows(spark, graph, model):
     """``total_msg_rows`` is the sampled neighborhood volume the run made."""
     nodes, edges, _ = graph
     sub, rows = sample_khop_edges(
-        spark, edges, nodes.select("id"), hops=model.n_layers, fanout=2, seed=4
+        edges, nodes.select("id"), hops=model.n_layers, fanout=2, seed=4
     )
     release(sub)
     _, stats = infer_khop(spark, nodes, edges, model, fanout=2, seed=4)
@@ -138,6 +138,6 @@ def test_rows_grow_with_hops(spark, graph):
     targets = nodes.select("id")
     r = {}
     for hops in (1, 2, 3):
-        _, r[hops] = sample_khop_edges(spark, edges, targets, hops=hops, fanout=FULL, seed=0)
+        _, r[hops] = sample_khop_edges(edges, targets, hops=hops, fanout=FULL, seed=0)
     assert r[1] < r[2] < r[3]
     assert (r[3] - r[2]) > (r[2] - r[1]) * 0.8  # still expanding fast
