@@ -8,8 +8,8 @@
   across supersteps and the last one applies the prediction head.
 * :mod:`repro.backends.mapreduce` — the batch-processing (MapReduce/
   Spark) backend: the same program, but each round's frame round-trips
-  through external storage (Parquet), and the head runs in a pass of its
-  own over the final state.
+  through external storage (Parquet); the last round applies the head
+  too and stores the final state with the logits, which is the result.
 * :mod:`repro.backends.khop` — the *traditional* pipeline baseline
   (PyG/DGL stand-in): sampled k-hop neighborhood construction plus
   per-target localized forward, with all its redundant computation.

@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -38,10 +37,11 @@ class RoundStats:
     layer: int
     msg_rows: int = 0  # rows crossing the gather shuffle
     msg_floats: int = 0  # payload doubles shipped (excl. 16B of ids/row)
+    id_rows: int = 0  # rows of ids alone (16B/row): a broadcast's edge stream
 
     @property
     def msg_bytes(self) -> int:
-        return self.msg_rows * 16 + self.msg_floats * 8
+        return (self.msg_rows + self.id_rows) * 16 + self.msg_floats * 8
 
 
 @dataclass
@@ -75,7 +75,8 @@ def count_comm(
     * partial-gather on (partial layers; wins over broadcast, as in the
       engine) → the sender-side partials, one per ``(worker(src), dst)``.
     * broadcast on (broadcastable layers) → a payload travels once per
-      ``(src, worker(dst))``; the edge stream ships ids only.
+      ``(src, worker(dst))``; the edge stream ships ids only, one
+      :attr:`RoundStats.id_rows` row per edge, which this count leaves out.
     """
     if layer.partial and partial_gather:
         rows = int(
@@ -114,16 +115,6 @@ def release(cp: DataFrame) -> None:
     """Drop a :func:`checkpoint` frame's blocks, which
     ``DataFrame.unpersist`` does not reach."""
     _blocks(cp).unpersist(False)
-
-
-def per_worker_io(msgs: DataFrame) -> pd.DataFrame:
-    """Messages received per logical worker (straggler/tail analysis)."""
-    return (
-        msgs.groupBy(worker_of(F.col("dst")).alias("worker"))
-        .agg(F.count("*").alias("in_msgs"))
-        .orderBy("worker")
-        .toPandas()
-    )
 
 
 class Timer:

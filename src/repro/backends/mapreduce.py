@@ -7,8 +7,10 @@ round's frame — node records carrying their state and out-edges, plus
 the messages they send, shuffled along with the state "to itself" —
 goes to external storage (Parquet) and is read back by the next round.
 The map phase writes ``state_0``; the reduce round of layer k reads
-``state_k`` and writes ``state_{k+1}``; a last reduce reads the final
-state back and applies the prediction slice of the model.
+``state_k`` and writes ``state_{k+1}``. The last layer's round applies
+the prediction slice of the model in the same pass, so ``state_L``
+holds each node's final state with its logits and prediction, and is
+the result.
 
 This is deliberately heavier on IO than the Pregel backend and lighter
 on resident memory — matching the paper's trade-off (Table III: On-MR
@@ -21,11 +23,13 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import StructType
 
 from repro.backends import kernel
 from repro.backends.common import RunStats, Timer
-from repro.backends.pregel import load_gnn
+from repro.backends.pregel import VERTEX_SCHEMA, load_gnn
 from repro.core.model import GNNModel
 from repro.strategies import StrategyConfig
 
@@ -45,30 +49,40 @@ def infer_mr(
     Returns ``(result, stats)`` where ``result`` has columns
     ``(id, logits, pred)`` for every node.
 
-    The run's files — each round's frame ``state_k.parquet`` and
-    ``result.parquet``, which ``result`` reads — go to a new subdirectory
-    of ``workdir`` that the caller owns; nothing else there is touched. A
-    run that fails removes its subdirectory.
+    The run's files — each round's ``state_k.parquet``, the last one
+    holding every node's final ``h`` with its ``logits`` and ``pred``,
+    which ``result`` reads — go to a new subdirectory of ``workdir`` that
+    the caller owns; nothing else there is touched. A run that fails
+    removes its subdirectory.
     """
     Path(workdir).mkdir(parents=True, exist_ok=True)
     run = Path(tempfile.mkdtemp(prefix="infer_mr-", dir=workdir))
     stats = RunStats(backend="mapreduce")
+    head = kernel.head_schema(model.task)
+    schema = StructType(head.fields + [VERTEX_SCHEMA["h"]])
     try:
         with Timer() as t:
             eng, compute = load_gnn(
-                spark, nodes, edges, model, strategies, stats, instrument=instrument, rundir=run
+                nodes, edges, model, strategies, stats, instrument=instrument, rundir=run
             )
-            for k in range(model.n_layers):
+            for k in range(model.n_layers - 1):
                 eng.superstep(k, compute)
-            schema = kernel.head_schema(model.task)
-            result = eng.superstep(
-                model.n_layers, lambda k, verts, msgs: kernel.head(model, verts), schema=schema
+            state = eng.superstep(
+                model.n_layers - 1,
+                lambda k, verts, msgs: _head_and_state(model, compute(k, verts, msgs)),
+                schema=schema,
             )
-            out_path = str(run / "result.parquet")
-            result.write.parquet(out_path)
-            result = spark.read.schema(schema).parquet(out_path)
+            result = state.select(head.names)
     except BaseException:
         shutil.rmtree(run, ignore_errors=True)
         raise
     stats.wall_s = t.wall_s
     return result, stats
+
+
+def _head_and_state(model: GNNModel, state: pa.Table) -> pa.Table:
+    """:func:`kernel.head`'s rows ``(id, logits, pred)`` of final vertex
+    rows, each with its node's ``h``."""
+    # the head sorts its rows by id, so states sorted by id line up with them
+    state = state.take(kernel.order_by(state, "id"))
+    return kernel.head(model, state).append_column("h", state["h"])

@@ -21,9 +21,9 @@ the partitioning the planner would need to skip it.
 
 :func:`load_gnn` is the engine's vertex program: one GAS layer per
 superstep with the paper's combiner trick — the *aggregate* part of a
-``partial=True`` layer runs sender-side. Both backends run it:
-:func:`infer_pregel` over resident frames, with the prediction head in
-the last superstep, and :func:`repro.backends.mapreduce.infer_mr` over
+``partial=True`` layer runs sender-side. Both backends run it, with
+the prediction head in the last superstep's pass: :func:`infer_pregel`
+over resident frames, and :func:`repro.backends.mapreduce.infer_mr` over
 frames stored as Parquet between rounds.
 """
 from __future__ import annotations
@@ -168,12 +168,12 @@ class Pregel:
         )
 
     def _keep(self, k: int, df: DataFrame) -> DataFrame:
-        """``df`` stored as frame ``k`` where frames live, and read back."""
+        """``df`` stored as state ``k`` where frames live, and read back."""
         if self.rundir is None:
             return checkpoint(df)
         path = str(self.rundir / f"state_{k}.parquet")
         df.write.parquet(path)
-        return df.sparkSession.read.schema(FRAME_SCHEMA).parquet(path)
+        return df.sparkSession.read.schema(df.schema).parquet(path)
 
     def _drop(self, frame: DataFrame) -> None:
         """Release a resident frame's blocks; a stored frame stays."""
@@ -187,14 +187,16 @@ class Pregel:
         worker over its vertices and the messages to them.
 
         The new frame is stored and returned. A last superstep passes
-        the ``schema`` of its own output instead: that output is returned
-        unmaterialized for the caller to materialize, and the frame stays.
+        the ``schema`` of its own output instead, and the frame stays:
+        resident, that output is returned unmaterialized for the caller to
+        materialize; under ``rundir`` it is stored as the next state,
+        ``rundir/state_{step+1}.parquet``, and read back.
         """
         out = self.frame.groupBy(F.coalesce("pid", worker_of(F.col("dst")))).applyInArrow(
             lambda tbl: compute(step, *_split(tbl)), schema
         )
         if schema != FRAME_SCHEMA:
-            return out
+            return out if self.rundir is None else self._keep(step + 1, out)
         old = self.frame
         self.frame = self._keep(step + 1, out)
         self._drop(old)
@@ -208,7 +210,6 @@ class Pregel:
 
 
 def load_gnn(
-    spark: SparkSession,
     nodes: DataFrame,
     edges: DataFrame,
     model: GNNModel,
@@ -224,12 +225,15 @@ def load_gnn(
 
     Loading sends layer 0's messages. Superstep k applies layer k to its
     messages (:func:`kernel.update`) and sends layer k+1's along each
-    vertex's out-adjacency, none after the last layer; a ``partial`` layer
-    under partial gather has them combined per ``(worker(src), dst)`` in
-    that pass (:func:`kernel.combine`). Under shadow nodes the vertex
-    rows split hubs into mirrors first, and the last layer drops the
-    mirrors again; with ``instrument``, ``stats`` gets each layer's
-    traffic as :func:`count_comm` accounts it from the vertex rows' edges.
+    vertex's out-adjacency; a ``partial`` layer under partial gather has
+    them combined per ``(worker(src), dst)`` in that pass
+    (:func:`kernel.combine`). The last layer's ``compute`` sends nothing
+    and returns the final vertex rows, for the caller's last superstep to
+    apply the prediction head to in the same pass. Under shadow nodes the
+    vertex rows split hubs into mirrors first, and the last layer drops
+    the mirrors again; with ``instrument``, ``stats`` gets each layer's
+    traffic as :func:`count_comm` accounts it from the vertex rows' edges,
+    plus a broadcast layer's ids-only edge stream.
     """
     verts = build_vertices(nodes, edges)
     floor = None
@@ -238,12 +242,13 @@ def load_gnn(
         verts, _, floor = shadow.apply_shadow_nodes(verts, threshold=thr)
     layers = model.layers
     pg, bc = strategies.partial_gather, strategies.broadcast
+    combined = [pg and layer.partial for layer in layers]
     if instrument:
         sent = verts.select(F.col("id").alias("src"), F.explode("adj").alias("dst"))
         for k, layer in enumerate(layers):
             rows, floats = count_comm(sent, layer, partial_gather=pg, broadcast=bc)
-            stats.rounds.append(RoundStats(layer=k, msg_rows=rows, msg_floats=floats))
-    combined = [pg and layer.partial for layer in layers]
+            ids = sent.count() if bc and layer.broadcastable and not combined[k] else 0
+            stats.rounds.append(RoundStats(k, msg_rows=rows, msg_floats=floats, id_rows=ids))
 
     def send(k: int, verts: pa.Table) -> pa.Table:
         msgs = out_messages(verts, verts["h"])
@@ -253,7 +258,7 @@ def load_gnn(
         verts = kernel.update(layers[k], verts, msgs, combined=combined[k])
         if k + 1 < len(layers):
             return frame(verts, send(k + 1, verts))
-        return frame(verts if floor is None else verts.filter(pc.less(verts["id"], floor)))
+        return verts if floor is None else verts.filter(pc.less(verts["id"], floor))
 
     return Pregel(verts, partial(send, 0), rundir), compute
 
@@ -273,9 +278,7 @@ def infer_pregel(
     stats = RunStats(backend="pregel")
     n_layers, schema = model.n_layers, kernel.head_schema(model.task)
     with Timer() as t:
-        eng, compute = load_gnn(
-            spark, nodes, edges, model, strategies, stats, instrument=instrument
-        )
+        eng, compute = load_gnn(nodes, edges, model, strategies, stats, instrument=instrument)
         try:
             for k in range(n_layers - 1):
                 eng.superstep(k, compute)

@@ -56,8 +56,8 @@ def graph(spark):
 @_per_backend("n_layers,strat", [(2, PG), (3, PG), (2, ALL)], ["2", "3", "all-2"])
 def test_job_count_per_run(spark, graph, tmp_path, backend, n_layers, strat):
     """Load takes four jobs, each superstep two (its exchange, then its
-    checkpoint, Parquet write or the collect). MapReduce's head has a
-    pass of its own, two jobs more. Shadow nodes add the hub detection
+    checkpoint, Parquet write or the collect); both backends apply the
+    head in the last superstep's pass. Shadow nodes add the hub detection
     (the edge count and one aggregate over the vertex rows, six jobs)
     and nothing to the load."""
     nodes, edges = graph
@@ -70,7 +70,7 @@ def test_job_count_per_run(spark, graph, tmp_path, backend, n_layers, strat):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
-    bound = 2 * n_layers + (4 if backend == "pregel" else 6) + (6 if strat.shadow_nodes else 0)
+    bound = 2 * n_layers + 4 + (6 if strat.shadow_nodes else 0)
     assert len(sc.statusTracker().getJobIdsForGroup(group)) <= bound
 
 
@@ -79,8 +79,7 @@ def test_frame_traffic_equals_accounting(spark, graph, tmp_path, monkeypatch, ba
     """Every frame entering a superstep's exchange holds each vertex once
     — hubs' mirrors included under shadow nodes — plus exactly the
     message rows and payload floats ``count_comm`` accounts for that
-    layer; MapReduce's final frame, which enters the head's pass, holds
-    the original vertices alone."""
+    layer."""
     nodes, edges = graph
     model = build_sage(6, 10, 4, n_layers=3, seed=1)
     frames = []
@@ -121,7 +120,7 @@ def test_frame_traffic_equals_accounting(spark, graph, tmp_path, monkeypatch, ba
         mirrors = deg.select(F.sum(F.ceil(F.col("count") / thr) - 1)).first()[0]
         assert mirrors > 0
     expected = [(n + mirrors, r.msg_rows, r.msg_floats) for r in stats.rounds]
-    assert frames == expected + ([(n, 0, 0)] if backend == "mr" else [])
+    assert frames == expected
 
 
 def _model(key, d):

@@ -9,6 +9,7 @@ from repro.core.model import build_gat, build_sage
 from repro.core.reference import embeddings_per_layer, forward_full, predict_full
 from repro.graphs.generators import power_law_graph
 from repro.graphs.local import LocalGraph
+from repro.strategies import StrategyConfig
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,21 @@ def test_round_zero_state_is_raw_features(spark, graph, tmp_path):
     np.testing.assert_allclose(
         np.stack(pdf["h"].to_numpy()), g.feat[pdf["id"].to_numpy()], atol=1e-12
     )
+
+
+def test_last_round_state_holds_the_result(spark, graph, tmp_path):
+    """``state_L`` holds each original node once — no shadow mirrors — with
+    the logits and prediction ``infer_mr`` returns."""
+    nodes, edges, g = graph
+    model = build_sage(6, 8, 3, n_layers=2, seed=9)
+    result, _ = infer_mr(
+        spark, nodes, edges, model, workdir=tmp_path / "mr", strategies=StrategyConfig.all()
+    )
+    state = _vertex_rows(spark, tmp_path / "mr", 2).toPandas().sort_values("id")
+    got = result.toPandas().sort_values("id")
+    assert state["id"].tolist() == got["id"].tolist() == list(range(g.n))
+    np.testing.assert_array_equal(np.stack(state["logits"]), np.stack(got["logits"]))
+    np.testing.assert_array_equal(state["pred"], got["pred"])
 
 
 def test_predict_full_consistent_with_forward(graph):

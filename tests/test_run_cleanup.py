@@ -38,7 +38,7 @@ def test_mr_keeps_callers_files(spark, graph, tmp_path):
     runs = [p for p in tmp_path.iterdir() if p.is_dir()]
     assert len(runs) == 2  # one subdirectory per run, each with its rounds
     for run in runs:
-        assert (run / "state_1.parquet").is_dir() and (run / "result.parquet").is_dir()
+        assert (run / "state_1.parquet").is_dir() and (run / "state_2.parquet").is_dir()
 
 
 @pytest.mark.parametrize("backend", ["mr", "pregel", "khop"])

@@ -2,10 +2,11 @@
 broadcast must *reduce* measured traffic, with counts cross-checked
 against DuckDB SQL (worker assignment exported as a column so the oracle
 can reproduce the math)."""
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.backends.common import N_WORKERS, count_comm, per_worker_io, worker_of
+from repro.backends.common import N_WORKERS, count_comm, worker_of
 from repro.backends.mapreduce import infer_mr
 from repro.backends.pregel import infer_pregel
 from repro.core.model import build_sage
@@ -109,8 +110,10 @@ def test_partial_gather_count_oracle(spark, in_skewed, model):
 
 
 def test_broadcast_count_oracle(spark, out_skewed, model):
-    """Broadcast rows = distinct (src, receiver worker)."""
-    _, edges = out_skewed
+    """Broadcast rows = distinct (src, receiver worker); a layer's bytes =
+    those rows with their payload plus the ids-only edge stream, 16 B per
+    edge."""
+    nodes, edges = out_skewed
     tagged = edges.select("src", worker_of(F.col("dst")).alias("w"))
     rows, _ = count_comm(edges, model.layers[0], partial_gather=False, broadcast=True)
     assert_equivalent(
@@ -118,14 +121,29 @@ def test_broadcast_count_oracle(spark, out_skewed, model):
         "select count(*) as bcast_rows from (select src, w from tagged group by src, w)",
         tagged=tagged,
     )
+    _, stats = infer_pregel(
+        spark, nodes, edges, model, strategies=StrategyConfig(broadcast=True), instrument=True
+    )
+    assert_equivalent(
+        spark.createDataFrame([(r.layer, r.msg_bytes) for r in stats.rounds], ["layer", "b"]),
+        "select layer, "
+        "(select count(*) from (select src, w from tagged group by src, w)) * (16 + 8 * dim)"
+        " + (select count(*) from tagged) * 16 as b from dims",
+        tagged=tagged,
+        dims=pd.DataFrame({"layer": [0, 1], "dim": [layer.msg_dim for layer in model.layers]}),
+    )
 
 
 def test_tail_worker_io_shrinks_with_partial_gather(spark, in_skewed, model):
     """Fig. 9/11's point: the busiest receiver worker's in-message count
     collapses once aggregation happens sender-side."""
     _, edges = in_skewed
-    base_io = per_worker_io(edges)["in_msgs"]
+
+    def per_worker_io(msgs):  # messages received per logical worker
+        return msgs.groupBy(worker_of(F.col("dst"))).count().toPandas()["count"]
+
+    base_io = per_worker_io(edges)
     combined = edges.select(worker_of(F.col("src")).alias("w"), "dst").distinct()
-    pg_io = per_worker_io(combined)["in_msgs"]
+    pg_io = per_worker_io(combined)
     assert pg_io.max() < base_io.max()
     assert pg_io.max() / pg_io.mean() < base_io.max() / base_io.mean()
