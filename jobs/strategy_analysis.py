@@ -76,8 +76,8 @@ def run(spark: SparkSession, *, n_nodes: int = 20_000, avg_degree: float = 14) -
     )
     base_out = _per_worker(edges, "src", dim * 8 + 16)
 
-    # broadcast ships the payload once per (src, receiver-worker) plus an
-    # ids-only edge stream (16 B/edge)
+    # broadcast ships the payload once per (src, receiver-worker) plus the
+    # destination ids those rows carry (16 B/edge)
     bcast = edges.select("src", worker_of(F.col("dst")).alias("wd")).distinct()
     bc_out = _per_worker(bcast, "src", dim * 8 + 16) + _per_worker(edges, "src", 16)
     rows.append(

@@ -6,6 +6,9 @@
   receiver worker) and all communication metrics are defined against
   these logical workers, so the measured message/byte reductions are
   exact and machine-independent.
+* **Shipping rule** (:func:`shipping`): whether a layer's messages
+  travel as partials, broadcast rows or one per edge — the one rule the
+  engine and the accounting share.
 * **Communication accounting** (:func:`count_comm`): the paper's message
   and byte counts per layer, derived from the edge stream.
 * **Local checkpoints** (:func:`checkpoint`, :func:`release`): the one
@@ -26,7 +29,8 @@ N_WORKERS = 16
 
 
 def worker_of(col):
-    """Logical worker (simulated machine) hosting a node id."""
+    """Logical worker (simulated machine) hosting a node id; a sender
+    computes the same in NumPy with :func:`repro.backends.kernel.worker`."""
     return F.pmod(F.xxhash64(col), F.lit(N_WORKERS))
 
 
@@ -37,7 +41,7 @@ class RoundStats:
     layer: int
     msg_rows: int = 0  # rows crossing the gather shuffle
     msg_floats: int = 0  # payload doubles shipped (excl. 16B of ids/row)
-    id_rows: int = 0  # rows of ids alone (16B/row): a broadcast's edge stream
+    id_rows: int = 0  # destination ids carried by broadcast rows (16B each)
 
     @property
     def msg_bytes(self) -> int:
@@ -66,24 +70,40 @@ class RunStats:
         return self.wall_s * cores / 60.0
 
 
+def shipping(layer: GASLayer, *, partial_gather: bool, broadcast: bool) -> str:
+    """How a layer's messages cross logical workers under the strategies:
+
+    * ``"partial"`` — partial gather on and a ``partial`` layer (this wins
+      over broadcast): sender-side partials, one per ``(worker(src), dst)``.
+    * ``"broadcast"`` — broadcast on and a ``broadcastable`` layer: one
+      payload per ``(src, worker(dst))``, carrying that worker's
+      destinations.
+    * ``"edge"`` — otherwise: one message per edge.
+    """
+    if partial_gather and layer.partial:
+        return "partial"
+    if broadcast and layer.broadcastable:
+        return "broadcast"
+    return "edge"
+
+
 def count_comm(
     edges: DataFrame, layer: GASLayer, *, partial_gather: bool, broadcast: bool
 ) -> tuple[int, int]:
     """Exact (rows, payload_floats) crossing logical workers this layer,
-    from the ``(src, dst)`` edge stream: one message per edge, unless
-
-    * partial-gather on (partial layers; wins over broadcast, as in the
-      engine) → the sender-side partials, one per ``(worker(src), dst)``.
-    * broadcast on (broadcastable layers) → a payload travels once per
-      ``(src, worker(dst))``; the edge stream ships ids only, one
-      :attr:`RoundStats.id_rows` row per edge, which this count leaves out.
+    from the ``(src, dst)`` edge stream, as the engine ships them
+    (:func:`shipping`): the partials, one broadcast row per ``(src,
+    worker(dst))``, or one message per edge. A broadcast row's
+    destination ids — one :attr:`RoundStats.id_rows` row per edge — are
+    left out of this count.
     """
-    if layer.partial and partial_gather:
+    ship = shipping(layer, partial_gather=partial_gather, broadcast=broadcast)
+    if ship == "partial":
         rows = int(
             edges.select(worker_of(F.col("src")).alias("w"), "dst").distinct().count()
         )
         return rows, rows * layer.aggregator.partial_dim
-    if broadcast and layer.broadcastable:
+    if ship == "broadcast":
         rows = int(edges.select("src", worker_of(F.col("dst"))).distinct().count())
         return rows, rows * layer.msg_dim
     rows = int(edges.count())

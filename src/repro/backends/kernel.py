@@ -10,7 +10,14 @@ order it is reduced:
   payload)``; node states carry ``id`` and ``h``; vectors travel as
   ``array<double>`` and are read as one ``[n, d]`` matrix with
   :func:`to_matrix`, written back with :func:`from_matrix` — no per-row
-  Python objects.
+  Python objects. A broadcast message (:func:`broadcast`) carries its
+  payload once for all its sender's destinations on one receiver worker:
+  it adds their list ``adj``, and its ``dst`` is the first of them, so it
+  is routed like any message to that ``dst``. :func:`update` fans it out
+  to one message per destination.
+* **Placement.** :func:`worker` is the NumPy copy of
+  :func:`repro.backends.common.worker_of`, for a sender that groups its
+  destinations by receiver worker.
 * **Reduction order.** Floating-point addition is not associative and
   SIMD matmul kernels are not bit-stable under row permutation, while a
   shuffle delivers rows in run-dependent order. Every reduction therefore
@@ -18,16 +25,19 @@ order it is reduced:
   states sorted by ``id``, which makes results bit-identical across runs
   (§V-B1's consistency, at full strength).
 
-The three per-batch functions are :func:`combine` (sender-side partial
-gather), :func:`update` (gather → aggregate → apply_node, the receiver
-side of one layer) and :func:`head` (the prediction slice).
+The per-batch functions are :func:`combine` (sender-side partial
+gather), :func:`broadcast` (sender-side broadcast), :func:`update`
+(gather → aggregate → apply_node, the receiver side of one layer) and
+:func:`head` (the prediction slice).
 """
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
+from repro.backends.common import N_WORKERS
 from repro.core.gas import Aggregator, GASLayer
 from repro.core.model import GNNModel
 
@@ -79,6 +89,42 @@ def from_matrix(m: np.ndarray) -> pa.ListArray:
     return pa.ListArray.from_arrays(offsets, pa.array(np.ascontiguousarray(m).ravel()))
 
 
+# -- placement -------------------------------------------------------------------
+
+_P1, _P2, _P3, _P4, _P5 = (
+    np.uint64(p)
+    for p in (
+        0x9E3779B185EBCA87,
+        0xC2B2AE3D27D4EB4F,
+        0x165667B19E3779F9,
+        0x85EBCA77C2B2AE63,
+        0x27D4EB2F165667C5,
+    )
+)
+_SEED = np.uint64(42)
+
+
+def _rotl(x: np.ndarray, r: int) -> np.ndarray:
+    return (x << np.uint64(r)) | (x >> np.uint64(64 - r))
+
+
+def worker(ids: np.ndarray) -> np.ndarray:
+    """Logical worker of each int64 node id: Spark's 64-bit xxHash of a
+    long (seed 42) modulo :data:`N_WORKERS`, computed in wrapping uint64
+    arithmetic, so it equals :func:`repro.backends.common.worker_of`."""
+    x = np.asarray(ids, dtype=np.int64).view(np.uint64)
+    h = _SEED + _P5 + np.uint64(8)
+    h = h ^ (_rotl(x * _P2, 31) * _P1)
+    h = _rotl(h, 27) * _P1 + _P4
+    h ^= h >> np.uint64(33)
+    h *= _P2
+    h ^= h >> np.uint64(29)
+    h *= _P3
+    h ^= h >> np.uint64(32)
+    # N_WORKERS divides 2**64, so the unsigned remainder is Spark's pmod
+    return (h % np.uint64(N_WORKERS)).astype(np.int64)
+
+
 # -- canonical order and row mapping --------------------------------------------
 
 
@@ -128,31 +174,77 @@ def combine(agg: Aggregator, tbl: pa.Table) -> pa.Table:
     )
 
 
-def update(layer: GASLayer, verts: pa.Table, msgs: pa.Table, *, combined: bool) -> pa.Table:
+def broadcast(verts: pa.Table) -> pa.Table:
+    """Sender-side broadcast: one message per ``(id, worker(dst))`` over
+    the out-adjacency ``adj`` of ``verts``, carrying the sender's ``h``
+    once and, as ``adj``, its destinations on that worker, ``dst`` being
+    the first of them."""
+    adj = verts["adj"].combine_chunks()
+    row = pc.list_parent_indices(adj).to_numpy()
+    dst = pc.list_flatten(adj).to_numpy()
+    w = worker(dst)
+    order = np.lexsort((w, row))
+    row, dst, w = row[order], dst[order], w[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (row[1:] != row[:-1]) | (w[1:] != w[:-1])
+    first = np.flatnonzero(starts)
+    offsets = pa.array(np.append(first, len(order)).astype(np.int32))
+    return pa.table(
+        {
+            "src": verts["id"].take(row[first]),
+            "dst": dst[first],
+            "payload": verts["h"].take(row[first]),
+            "adj": pa.ListArray.from_arrays(offsets, pa.array(dst)),
+        }
+    )
+
+
+def _fan_out(msgs: pa.Table) -> pa.Table:
+    """Broadcast messages → one ``(src, dst, row)`` per destination in
+    their ``adj``, ``row`` being the message that carries its payload."""
+    adj = msgs["adj"].combine_chunks()
+    row = pc.list_parent_indices(adj)
+    return pa.table({"src": msgs["src"].take(row), "dst": pc.list_flatten(adj), "row": row})
+
+
+def update(
+    layer: GASLayer,
+    verts: pa.Table,
+    msgs: pa.Table,
+    *,
+    combined: bool,
+    broadcast: bool = False,
+) -> pa.Table:
     """One layer's receiver side over a bucket of nodes and their messages.
 
     ``verts`` holds ``id``, ``h`` and any columns to pass through;
-    ``msgs`` holds the messages to those nodes — raw payloads, or partials
-    from :func:`combine` when ``combined``. Partial layers reduce
-    (lift, or merge partials), finalize and ``apply_node``; a node without
-    messages gets a zero aggregate. Union layers hand every message to
-    ``apply_node_union``. Returns ``verts`` sorted by id with ``h``
-    replaced by the new state.
+    ``msgs`` holds the messages to those nodes — raw payloads, partials
+    from :func:`combine` when ``combined``, or messages from
+    :func:`broadcast` when ``broadcast``, which are fanned out to one per
+    destination first. Partial layers reduce (lift, or merge partials),
+    finalize and ``apply_node``; a node without messages gets a zero
+    aggregate. Union layers hand every message to ``apply_node_union``.
+    Returns ``verts`` sorted by id with ``h`` replaced by the new state.
     """
     verts = verts.take(order_by(verts, "id"))
     ids = verts["id"].to_numpy()
     h = to_matrix(verts["h"], layer.in_dim)
+    payload = msgs["payload"]
+    if broadcast:
+        msgs = _fan_out(msgs)
     order = order_by(msgs, "dst", "src")
     seg = rows(ids, msgs["dst"].to_numpy()[order])
+    if broadcast:  # payload rows, in the same order
+        order = msgs["row"].to_numpy()[order]
     if not layer.partial:
-        vals = to_matrix(msgs["payload"], layer.msg_dim)[order]
+        vals = to_matrix(payload, layer.msg_dim)[order]
         return with_state(verts, layer.apply_node_union(h, vals, seg))
     agg = layer.aggregator
     if combined:
-        vals = to_matrix(msgs["payload"], agg.partial_dim)[order]
+        vals = to_matrix(payload, agg.partial_dim)[order]
         partials = agg.merge_segments(vals, seg, len(ids))
     else:
-        vals = to_matrix(msgs["payload"], agg.dim)[order]
+        vals = to_matrix(payload, agg.dim)[order]
         partials = agg.lift_segments(vals, seg, len(ids))
     # finalize maps the empty partial of a node without messages to zeros
     return with_state(verts, layer.apply_node(h, agg.finalize(partials)))

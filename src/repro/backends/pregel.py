@@ -6,7 +6,9 @@ their out-adjacency** ("structure and feature information stored in one
 place"). Between supersteps the engine keeps one *frame* with two
 kinds of rows: vertex rows ``(id, pid, adj, h)`` and the message
 rows ``(src, dst, payload)`` those vertices sent, each kind's columns null
-in the other kind's rows.
+in the other kind's rows — except ``adj``, which a broadcast message row
+(:func:`repro.backends.kernel.broadcast`) fills with its sender's
+destinations on its receiver worker.
 
 A superstep is one Python pass per logical worker over its vertices plus
 the messages addressed to them: ``compute`` applies the messages, then
@@ -21,7 +23,9 @@ the partitioning the planner would need to skip it.
 
 :func:`load_gnn` is the engine's vertex program: one GAS layer per
 superstep with the paper's combiner trick — the *aggregate* part of a
-``partial=True`` layer runs sender-side. Both backends run it, with
+``partial=True`` layer runs sender-side — and the paper's broadcast: a
+broadcastable layer sends its payload once per receiver worker, which
+fans it out to its local destinations. Both backends run it, with
 the prediction head in the last superstep's pass: :func:`infer_pregel`
 over resident frames, and :func:`repro.backends.mapreduce.infer_mr` over
 frames stored as Parquet between rounds.
@@ -54,6 +58,7 @@ from repro.backends.common import (
     checkpoint,
     count_comm,
     release,
+    shipping,
     worker_of,
 )
 from repro.core.model import GNNModel
@@ -101,25 +106,28 @@ def build_vertices(nodes: DataFrame, edges: DataFrame) -> DataFrame:
 def frame(verts: pa.Table, msgs: pa.Table | None = None) -> pa.Table:
     """Vertex rows and the message rows they send, stacked as one frame."""
 
-    def rows(tbl: pa.Table, names: list[str]) -> pa.Table:
+    def rows(tbl: pa.Table) -> pa.Table:
         cols = [
-            tbl[f.name].cast(f.type) if f.name in names else pa.nulls(tbl.num_rows, f.type)
+            tbl[f.name].cast(f.type)
+            if f.name in tbl.column_names
+            else pa.nulls(tbl.num_rows, f.type)
             for f in _ARROW_FRAME
         ]
         return pa.table(cols, schema=_ARROW_FRAME)
 
-    parts = [rows(verts, VERTEX_SCHEMA.names)]
+    parts = [rows(verts)]
     if msgs is not None:
-        parts.append(rows(msgs, kernel.MSG_SCHEMA.names))
+        parts.append(rows(msgs))
     return pa.concat_tables(parts)
 
 
 def _split(tbl: pa.Table) -> tuple[pa.Table, pa.Table]:
-    """A frame group's vertex rows and message rows."""
+    """A frame group's vertex rows and message rows, the latter with the
+    ``adj`` a broadcast message carries."""
     is_vertex = pc.is_valid(tbl["id"])
     return (
         tbl.filter(is_vertex).select(VERTEX_SCHEMA.names),
-        tbl.filter(pc.invert(is_vertex)).select(kernel.MSG_SCHEMA.names),
+        tbl.filter(pc.invert(is_vertex)).select(kernel.MSG_SCHEMA.names + ["adj"]),
     )
 
 
@@ -225,15 +233,18 @@ def load_gnn(
 
     Loading sends layer 0's messages. Superstep k applies layer k to its
     messages (:func:`kernel.update`) and sends layer k+1's along each
-    vertex's out-adjacency; a ``partial`` layer under partial gather has
-    them combined per ``(worker(src), dst)`` in that pass
-    (:func:`kernel.combine`). The last layer's ``compute`` sends nothing
-    and returns the final vertex rows, for the caller's last superstep to
-    apply the prediction head to in the same pass. Under shadow nodes the
+    vertex's out-adjacency, as :func:`shipping` rules for that layer: a
+    ``partial`` layer under partial gather has them combined per
+    ``(worker(src), dst)`` in that pass (:func:`kernel.combine`); a
+    broadcastable layer under broadcast sends one per ``(src,
+    worker(dst))`` (:func:`kernel.broadcast`), which the receiving pass
+    fans out; any other layer one per edge. The last layer's ``compute``
+    sends nothing and returns the final vertex rows, for the caller's last
+    superstep to apply the prediction head to in the same pass. Under shadow nodes the
     vertex rows split hubs into mirrors first, and the last layer drops
     the mirrors again; with ``instrument``, ``stats`` gets each layer's
     traffic as :func:`count_comm` accounts it from the vertex rows' edges,
-    plus a broadcast layer's ids-only edge stream.
+    plus the destination ids a broadcast layer's rows carry.
     """
     verts = build_vertices(nodes, edges)
     floor = None
@@ -242,20 +253,28 @@ def load_gnn(
         verts, _, floor = shadow.apply_shadow_nodes(verts, threshold=thr)
     layers = model.layers
     pg, bc = strategies.partial_gather, strategies.broadcast
-    combined = [pg and layer.partial for layer in layers]
+    ships = [shipping(layer, partial_gather=pg, broadcast=bc) for layer in layers]
     if instrument:
         sent = verts.select(F.col("id").alias("src"), F.explode("adj").alias("dst"))
         for k, layer in enumerate(layers):
             rows, floats = count_comm(sent, layer, partial_gather=pg, broadcast=bc)
-            ids = sent.count() if bc and layer.broadcastable and not combined[k] else 0
+            ids = sent.count() if ships[k] == "broadcast" else 0
             stats.rounds.append(RoundStats(k, msg_rows=rows, msg_floats=floats, id_rows=ids))
 
     def send(k: int, verts: pa.Table) -> pa.Table:
+        if ships[k] == "broadcast":
+            return kernel.broadcast(verts)
         msgs = out_messages(verts, verts["h"])
-        return kernel.combine(layers[k].aggregator, msgs) if combined[k] else msgs
+        return kernel.combine(layers[k].aggregator, msgs) if ships[k] == "partial" else msgs
 
     def compute(k: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
-        verts = kernel.update(layers[k], verts, msgs, combined=combined[k])
+        verts = kernel.update(
+            layers[k],
+            verts,
+            msgs,
+            combined=ships[k] == "partial",
+            broadcast=ships[k] == "broadcast",
+        )
         if k + 1 < len(layers):
             return frame(verts, send(k + 1, verts))
         return verts if floor is None else verts.filter(pc.less(verts["id"], floor))

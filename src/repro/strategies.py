@@ -6,7 +6,10 @@ Three strategies, all sampling-free and result-preserving:
   sender side, keyed ``(dst, worker(src))``; legal only for layers
   annotated ``partial=True``.
 * ``broadcast`` — send one payload per ``(src, worker(dst))`` instead of
-  one per out-edge; legal only for layers annotated ``broadcastable``.
+  one per out-edge, fanned out to its destinations by the receiving
+  worker; legal only for layers annotated ``broadcastable``, and partial
+  gather wins where both apply (see
+  :func:`repro.backends.common.shipping`).
 * ``shadow_nodes`` — split out-degree hubs into mirrors, in the vertex
   rows before the load (see :mod:`repro.graphs.shadow`); threshold from
   the paper's heuristic ``λ·E/W`` with λ = 0.1.

@@ -1,8 +1,11 @@
 """Unit tests for what both backends share: logical workers and run
 statistics."""
+import numpy as np
+import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
 
+from repro.backends import kernel
 from repro.backends.common import N_WORKERS, RoundStats, RunStats, worker_of
 from repro.graphs.generators import power_law_graph
 
@@ -24,6 +27,45 @@ def test_worker_of_deterministic(spark, graph):
     a = nodes.select("id", worker_of(F.col("id")).alias("w")).toPandas()
     b = nodes.select("id", worker_of(F.col("id")).alias("w")).toPandas()
     assert a.equals(b)
+
+
+def test_numpy_worker_equals_worker_of(spark):
+    """The sender's NumPy placement and Spark's agree on zero, negative,
+    int64-extreme, above-2^40 and random ids."""
+    top = np.iinfo(np.int64)
+    ids = np.concatenate(
+        [
+            [0, top.min, top.min + 1, top.max, top.max - 1],
+            np.arange(-50, 50),
+            (1 << 40) + np.arange(100),
+            np.random.default_rng(7).integers(top.min, top.max, 2000, dtype=np.int64),
+        ]
+    ).astype(np.int64)
+    df = spark.createDataFrame([(int(i),) for i in ids], "id long")
+    got = df.select("id", worker_of(F.col("id")).alias("w")).toPandas()
+    np.testing.assert_array_equal(kernel.worker(got["id"].to_numpy()), got["w"].to_numpy())
+
+
+def test_broadcast_rows_route_with_their_destinations(spark):
+    """A broadcast row's every destination lives on the worker its ``dst``
+    routes it to, and a sender has one row per receiver worker."""
+    rng = np.random.default_rng(8)
+    n = 60
+    ids = np.unique(rng.integers(-(1 << 41), 1 << 41, n))
+    n = len(ids)
+    deg = rng.integers(0, 40, n)
+    adj = pa.ListArray.from_arrays(
+        pa.array(np.r_[0, np.cumsum(deg)].astype(np.int32)),
+        pa.array(rng.choice(ids, int(deg.sum()))),
+    )
+    verts = pa.table({"id": ids, "adj": adj, "h": kernel.from_matrix(rng.random((n, 3)))})
+    rows = kernel.broadcast(verts)
+    df = spark.createDataFrame(rows.select(["src", "dst", "adj"]).to_pandas())
+    fanned = df.select("src", "dst", F.explode("adj").alias("to"))
+    assert fanned.count() == deg.sum()
+    assert fanned.filter(worker_of(F.col("dst")) != worker_of(F.col("to"))).count() == 0
+    pairs = fanned.select("src", worker_of(F.col("to"))).distinct().count()
+    assert rows.num_rows == pairs == df.select("src", worker_of(F.col("dst"))).distinct().count()
 
 
 def test_runstats_accounting():

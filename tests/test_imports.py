@@ -36,3 +36,16 @@ def test_one_copy_of_the_ordering_and_scatter_kernels():
     for path in backends.rglob("*.py"):
         if path.name != "kernel.py":
             assert not primitives.search(path.read_text()), path
+
+
+def test_one_copy_of_each_placement_hash():
+    """Spark computes a node's logical worker (``pmod`` of ``xxhash64``)
+    only in ``common.py`` and NumPy only in ``kernel.py``, so the two
+    copies sit where one test checks they agree."""
+    backends = Path(repro.__file__).parent / "backends"
+    spark_hash = re.compile(r"pmod\(\s*F\.xxhash64\b")
+    numpy_port = re.compile(r"0x9E3779B185EBCA87", re.IGNORECASE)  # xxHash64's first prime
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        text = path.read_text()
+        assert bool(spark_hash.search(text)) == (path == backends / "common.py"), path
+        assert bool(numpy_port.search(text)) == (path == backends / "kernel.py"), path

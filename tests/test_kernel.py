@@ -83,6 +83,26 @@ def test_update_is_bit_identical_under_row_permutation(bucket, key):
     np.testing.assert_allclose(kernel.to_matrix(want["h"], 8), ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("key", ["sage-lifted", "gat"])
+def test_broadcast_update_is_bit_identical_to_per_edge(bucket, key):
+    """Broadcast rows fanned out on receipt give the per-edge update's
+    states bit for bit, in any row order."""
+    verts, msgs, x, src, dst = bucket
+    layer = LAYERS[key][0]()
+    want = _update(layer, verts, msgs, merged=False)
+    by_src = np.argsort(src, kind="stable")
+    adj = pa.ListArray.from_arrays(
+        pa.array(np.searchsorted(src[by_src], np.arange(len(x) + 1)).astype(np.int32)),
+        pa.array(verts["id"].to_numpy()[dst[by_src]]),
+    )
+    sent = kernel.broadcast(verts.append_column("adj", adj))
+    assert sent.num_rows < msgs.num_rows
+    for seed in (None, 0, 1):
+        got = sent if seed is None else _shuffled(sent, seed)
+        got = kernel.update(layer, verts, got, combined=False, broadcast=True)
+        _assert_same(got, want, ["id", "h"])
+
+
 def test_combine_is_bit_identical_under_row_permutation(bucket):
     _, msgs, *_ = bucket
     agg = SAGEConv(D, 8, agg="mean").aggregator

@@ -18,6 +18,7 @@ from repro.graphs.shadow import shadow_threshold
 from repro.strategies import StrategyConfig
 
 PG = StrategyConfig(partial_gather=True)
+BC = StrategyConfig(broadcast=True)
 ALL = StrategyConfig.all()
 
 
@@ -53,17 +54,27 @@ def graph(spark):
     )
 
 
-@_per_backend("n_layers,strat", [(2, PG), (3, PG), (2, ALL)], ["2", "3", "all-2"])
-def test_job_count_per_run(spark, graph, tmp_path, backend, n_layers, strat):
+def _traffic_model(key, n_layers):
+    if key == "sage":
+        return build_sage(6, 10, 4, n_layers=n_layers, seed=1)
+    return build_gat(6, 10, 4, n_layers=n_layers, heads=2, seed=1)
+
+
+@_per_backend(
+    "model_key,n_layers,strat",
+    [("sage", 2, PG), ("sage", 3, PG), ("sage", 2, ALL), ("gat", 2, ALL)],
+    ["2", "3", "all-2", "gat-all-2"],
+)
+def test_job_count_per_run(spark, graph, tmp_path, backend, model_key, n_layers, strat):
     """Load takes four jobs, each superstep two (its exchange, then its
     checkpoint, Parquet write or the collect); both backends apply the
     head in the last superstep's pass. Shadow nodes add the hub detection
     (the edge count and one aggregate over the vertex rows, six jobs)
-    and nothing to the load."""
+    and nothing to the load; broadcast adds nothing."""
     nodes, edges = graph
-    model = build_sage(6, 10, 4, n_layers=n_layers, seed=1)
+    model = _traffic_model(model_key, n_layers)
     sc = spark.sparkContext
-    group = f"{backend}-jobs-{n_layers}-{strat.shadow_nodes}"
+    group = f"{backend}-jobs-{model_key}-{n_layers}-{strat.shadow_nodes}"
     sc.setJobGroup(group, "inference job count")
     try:
         _infer(backend, spark, nodes, edges, model, tmp_path, strategies=strat)
@@ -74,14 +85,21 @@ def test_job_count_per_run(spark, graph, tmp_path, backend, n_layers, strat):
     assert len(sc.statusTracker().getJobIdsForGroup(group)) <= bound
 
 
-@_per_backend("strat", [StrategyConfig.none(), PG, ALL], ["none", "pg", "all"])
-def test_frame_traffic_equals_accounting(spark, graph, tmp_path, monkeypatch, backend, strat):
+@_per_backend(
+    "model_key,strat",
+    [("sage", StrategyConfig.none()), ("sage", PG), ("sage", ALL), ("gat", BC), ("gat", ALL)],
+    ["none", "pg", "all", "gat-bc", "gat-all"],
+)
+def test_frame_traffic_equals_accounting(
+    spark, graph, tmp_path, monkeypatch, backend, model_key, strat
+):
     """Every frame entering a superstep's exchange holds each vertex once
     — hubs' mirrors included under shadow nodes — plus exactly the
     message rows and payload floats ``count_comm`` accounts for that
-    layer."""
+    layer, and, in its broadcast rows, the destination ids
+    ``RoundStats.id_rows`` counts."""
     nodes, edges = graph
-    model = build_sage(6, 10, 4, n_layers=3, seed=1)
+    model = _traffic_model(model_key, 3)
     frames = []
 
     def record(eng):
@@ -92,6 +110,8 @@ def test_frame_traffic_equals_accounting(spark, graph, tmp_path, monkeypatch, ba
                 f.filter(F.col("id").isNotNull()).count(),
                 msgs.count(),
                 msgs.agg(F.sum(F.size("payload"))).first()[0] or 0,
+                msgs.filter(F.col("adj").isNotNull()).agg(F.sum(F.size("adj"))).first()[0]
+                or 0,
             )
         )
 
@@ -119,7 +139,7 @@ def test_frame_traffic_equals_accounting(spark, graph, tmp_path, monkeypatch, ba
         deg = edges.groupBy("src").count()
         mirrors = deg.select(F.sum(F.ceil(F.col("count") / thr) - 1)).first()[0]
         assert mirrors > 0
-    expected = [(n + mirrors, r.msg_rows, r.msg_floats) for r in stats.rounds]
+    expected = [(n + mirrors, r.msg_rows, r.msg_floats, r.id_rows) for r in stats.rounds]
     assert frames == expected
 
 
