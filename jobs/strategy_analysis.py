@@ -24,7 +24,7 @@ from pyspark.sql import functions as F
 from repro.backends.common import N_WORKERS, worker_of
 from repro.backends.pregel import build_vertices
 from repro.graphs.generators import power_law_graph
-from repro.graphs.shadow import apply_shadow_nodes, shadow_threshold
+from repro.graphs.shadow import apply_shadow_nodes
 
 
 def _per_worker(df: DataFrame, key_col, weight: int) -> np.ndarray:
@@ -92,8 +92,7 @@ def run(spark: SparkSession, *, n_nodes: int = 20_000, avg_degree: float = 14) -
 
     # the (src, dst) stream the rewritten vertex rows send, mirror copies
     # of hub in-edges included
-    thr = shadow_threshold(edges.count(), N_WORKERS)
-    verts, n_hubs, _ = apply_shadow_nodes(build_vertices(nodes, edges), threshold=thr)
+    verts, n_hubs, _, thr = apply_shadow_nodes(build_vertices(nodes, edges))
     sent = verts.select(F.col("id").alias("src"), F.explode("adj").alias("dst"))
     sn_out = _per_worker(sent, "src", dim * 8 + 16)
     rows.append(

@@ -10,7 +10,9 @@ The map phase writes ``state_0``; the reduce round of layer k reads
 ``state_k`` and writes ``state_{k+1}``. The last layer's round applies
 the prediction slice of the model in the same pass, so ``state_L``
 holds each node's final state with its logits and prediction, and is
-the result.
+the result. Under shadow nodes the map phase holds the vertex rows in
+executor memory, which the hubs are decided from, until ``state_0`` is
+stored; nothing stays resident between rounds.
 
 This is deliberately heavier on IO than the Pregel backend and lighter
 on resident memory — matching the paper's trade-off (Table III: On-MR

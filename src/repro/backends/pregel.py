@@ -51,7 +51,6 @@ from pyspark.sql.types import (
 
 from repro.backends import kernel
 from repro.backends.common import (
-    N_WORKERS,
     RoundStats,
     RunStats,
     Timer,
@@ -241,25 +240,16 @@ def load_gnn(
     fans out; any other layer one per edge. The last layer's ``compute``
     sends nothing and returns the final vertex rows, for the caller's last
     superstep to apply the prediction head to in the same pass. Under shadow nodes the
-    vertex rows split hubs into mirrors first, and the last layer drops
-    the mirrors again; with ``instrument``, ``stats`` gets each layer's
-    traffic as :func:`count_comm` accounts it from the vertex rows' edges,
-    plus the destination ids a broadcast layer's rows carry.
+    vertex rows, held in memory until the load is stored, split hubs into
+    mirrors as decided from them, and the last layer drops the mirrors
+    again; with ``instrument``, ``stats`` gets each layer's traffic as
+    :func:`count_comm` accounts it from the vertex rows' edges, plus the
+    destination ids a broadcast layer's rows carry.
     """
-    verts = build_vertices(nodes, edges)
-    floor = None
-    if strategies.shadow_nodes:
-        thr = shadow.shadow_threshold(edges.count(), N_WORKERS, strategies.shadow_lambda)
-        verts, _, floor = shadow.apply_shadow_nodes(verts, threshold=thr)
+    verts, floor = build_vertices(nodes, edges), None
     layers = model.layers
     pg, bc = strategies.partial_gather, strategies.broadcast
     ships = [shipping(layer, partial_gather=pg, broadcast=bc) for layer in layers]
-    if instrument:
-        sent = verts.select(F.col("id").alias("src"), F.explode("adj").alias("dst"))
-        for k, layer in enumerate(layers):
-            rows, floats = count_comm(sent, layer, partial_gather=pg, broadcast=bc)
-            ids = sent.count() if ships[k] == "broadcast" else 0
-            stats.rounds.append(RoundStats(k, msg_rows=rows, msg_floats=floats, id_rows=ids))
 
     def send(k: int, verts: pa.Table) -> pa.Table:
         if ships[k] == "broadcast":
@@ -279,7 +269,20 @@ def load_gnn(
             return frame(verts, send(k + 1, verts))
         return verts if floor is None else verts.filter(pc.less(verts["id"], floor))
 
-    return Pregel(verts, partial(send, 0), rundir), compute
+    held = checkpoint(verts) if strategies.shadow_nodes else None
+    try:
+        if held is not None:
+            verts, _, floor, _ = shadow.apply_shadow_nodes(held)
+        if instrument:
+            sent = verts.select(F.col("id").alias("src"), F.explode("adj").alias("dst"))
+            for k, layer in enumerate(layers):
+                rows, floats = count_comm(sent, layer, partial_gather=pg, broadcast=bc)
+                ids = sent.count() if ships[k] == "broadcast" else 0
+                stats.rounds.append(RoundStats(k, msg_rows=rows, msg_floats=floats, id_rows=ids))
+        return Pregel(verts, partial(send, 0), rundir), compute
+    finally:
+        if held is not None:
+            release(held)
 
 
 def infer_pregel(

@@ -6,14 +6,13 @@ out-edges (so the scatter-side communication load is spread over
 machines) and **all** in-edges of the original (so every copy computes
 the identical state each layer).
 
-The rewrite works on the engine's vertex rows ``(id, pid, adj, h)``, in
-one projection: the hubs and their mirror ids are few (under
-``2E / threshold``), so they travel into it as a literal map. Mirror ids
-start one above the largest node id, at the *floor*; rows below it are
-the original nodes.
-
-``shadow_threshold`` implements the paper's heuristic
-``threshold = λ · total_edges / total_workers`` with λ = 0.1.
+The decision and the rewrite both work on the engine's vertex rows
+``(id, pid, adj, h)``. The threshold is the paper's heuristic
+``λ · E / W`` (:func:`shadow_threshold`, λ = 0.1), E being the rows'
+out-edges Σ ``size(adj)``. The hubs and their mirror ids are few (under
+``2E / threshold``), so they travel into one projection as a literal
+map. Mirror ids start one above the largest node id, at the *floor*;
+rows below it are the original nodes.
 """
 from __future__ import annotations
 
@@ -21,39 +20,38 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, LongType
 
-from repro.backends.common import worker_of
+from repro.backends.common import N_WORKERS, worker_of
 
-DEFAULT_LAMBDA = 0.1
-
-
-def shadow_threshold(n_edges: int, n_workers: int, lam: float = DEFAULT_LAMBDA) -> int:
-    """The paper's heuristic hub threshold (at least 1)."""
-    return max(1, int(lam * n_edges / n_workers))
+LAMBDA = 0.1
 
 
-def apply_shadow_nodes(
-    vertices: DataFrame, *, threshold: int
-) -> tuple[DataFrame, int, int | None]:
+def shadow_threshold(n_edges: int, n_workers: int) -> int:
+    """The paper's hub threshold ``λ · n_edges / n_workers``, at least 1."""
+    return max(1, int(LAMBDA * n_edges / n_workers))
+
+
+def apply_shadow_nodes(vertices: DataFrame) -> tuple[DataFrame, int, int | None, int]:
     """Split each vertex row with ``size(adj) > threshold`` (a hub) into
     ``ceil(size(adj) / threshold)`` copies: the hub's id, then its mirror
     ids, each with the hub's ``h``, ``pid = worker(id)`` and a round-robin
     share of the sorted adjacency. Every ``adj`` entry pointing at a hub
     expands to all of its copies, so each mirror gets all in-edges.
 
-    Returns ``(rows, n_hubs, floor)``, mirror ids being ``floor, floor +
-    1, …``; with no hub, ``(vertices, 0, None)``. Raises ``ValueError`` if
-    a mirror id would not fit in int64.
+    E with the largest id, then the hubs, are two queries over ``vertices``
+    (store them first if costly). Returns ``(rows, n_hubs, floor,
+    threshold)``, mirror ids being ``floor, floor + 1, …``; with no hub,
+    ``(vertices, 0, None, threshold)``. Raises ``ValueError`` if a mirror
+    id would not fit in int64.
     """
     deg = F.size("adj")
-    found = vertices.agg(
-        F.max("id").alias("max_id"),
-        F.collect_list(F.when(deg > threshold, F.struct("id", deg))).alias("hubs"),
-    ).first()
-    if not found["hubs"]:
-        return vertices, 0, None
-    floor = next_id = found["max_id"] + 1
+    n_edges, max_id = vertices.agg(F.sum(deg), F.max("id")).first()
+    threshold = shadow_threshold(n_edges or 0, N_WORKERS)
+    hubs = vertices.filter(deg > threshold).select("id", deg).collect()
+    if not hubs:
+        return vertices, 0, None, threshold
+    floor = next_id = max_id + 1
     copies = {}
-    for hub, d in sorted(found["hubs"]):
+    for hub, d in sorted(hubs):
         n = -(-d // threshold)
         copies[hub] = [hub, *range(next_id, next_id + n - 1)]
         next_id += n - 1
@@ -80,4 +78,4 @@ def apply_shadow_nodes(
         F.filter(F.sort_array("sends"), lambda _, i: i % F.col("n") == F.col("g")).alias("adj"),
         "h",
     )
-    return rows, len(copies), floor
+    return rows, len(copies), floor, threshold

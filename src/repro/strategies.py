@@ -11,8 +11,8 @@ Three strategies, all sampling-free and result-preserving:
   gather wins where both apply (see
   :func:`repro.backends.common.shipping`).
 * ``shadow_nodes`` — split out-degree hubs into mirrors, in the vertex
-  rows before the load (see :mod:`repro.graphs.shadow`); threshold from
-  the paper's heuristic ``λ·E/W`` with λ = 0.1.
+  rows before the load, at the paper's threshold ``λ·E/W`` (λ = 0.1)
+  decided from those rows (see :mod:`repro.graphs.shadow`).
 
 Backends read layer annotations from the model signature, so an illegal
 combination (e.g. partial-gather on GAT) silently degrades to the safe
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.graphs.shadow import DEFAULT_LAMBDA
-
 
 @dataclass(frozen=True)
 class StrategyConfig:
@@ -32,7 +30,6 @@ class StrategyConfig:
     partial_gather: bool = False
     broadcast: bool = False
     shadow_nodes: bool = False
-    shadow_lambda: float = DEFAULT_LAMBDA
 
     @staticmethod
     def none() -> "StrategyConfig":

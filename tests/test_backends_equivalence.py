@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from repro.backends.mapreduce import infer_mr
-from repro.backends.pregel import infer_pregel
+from repro.backends.pregel import build_vertices, infer_pregel
 from repro.core.model import build_gat, build_sage
 from repro.core.reference import forward_full
 from repro.graphs.generators import power_law_graph
 from repro.graphs.local import LocalGraph
+from repro.graphs.shadow import apply_shadow_nodes
 from repro.strategies import StrategyConfig
 
 
@@ -36,9 +37,16 @@ STRATS = {
     "none": StrategyConfig.none(),
     "pg": StrategyConfig(partial_gather=True),
     "bc": StrategyConfig(broadcast=True),
-    "sn": StrategyConfig(shadow_nodes=True, shadow_lambda=0.05),
-    "all": StrategyConfig(True, True, True, 0.05),
+    "sn": StrategyConfig(shadow_nodes=True),
+    "all": StrategyConfig.all(),
 }
+
+
+def test_graph_has_hubs(graph):
+    """The shadow-nodes cases split real hubs at the paper's λ = 0.1."""
+    nodes, edges, _ = graph
+    _, n_hubs, _, _ = apply_shadow_nodes(build_vertices(nodes, edges))
+    assert n_hubs > 0
 
 
 def _check(result, ref, atol=1e-8):

@@ -49,3 +49,14 @@ def test_one_copy_of_each_placement_hash():
         text = path.read_text()
         assert bool(spark_hash.search(text)) == (path == backends / "common.py"), path
         assert bool(numpy_port.search(text)) == (path == backends / "kernel.py"), path
+
+
+def test_one_place_decides_shadow_nodes():
+    """Under ``src/`` and ``jobs/``, only ``graphs/shadow.py`` computes the
+    hub threshold, from the vertex rows it rewrites; λ is no option."""
+    src = Path(repro.__file__).parent
+    jobs = Path(__file__).resolve().parents[1] / "jobs"
+    for path in [*src.rglob("*.py"), *jobs.rglob("*.py")]:
+        text = path.read_text()
+        assert ("shadow_threshold" in text) == (path == src / "graphs" / "shadow.py"), path
+        assert "shadow_lambda" not in text, path

@@ -68,9 +68,9 @@ def _traffic_model(key, n_layers):
 def test_job_count_per_run(spark, graph, tmp_path, backend, model_key, n_layers, strat):
     """Load takes four jobs, each superstep two (its exchange, then its
     checkpoint, Parquet write or the collect); both backends apply the
-    head in the last superstep's pass. Shadow nodes add the hub detection
-    (the edge count and one aggregate over the vertex rows, six jobs)
-    and nothing to the load; broadcast adds nothing."""
+    head in the last superstep's pass. Shadow nodes add one checkpoint of
+    the vertex rows plus the hub decision over it (four jobs), and take
+    the rebuilt exchanges out of the load; broadcast adds nothing."""
     nodes, edges = graph
     model = _traffic_model(model_key, n_layers)
     sc = spark.sparkContext
@@ -81,7 +81,7 @@ def test_job_count_per_run(spark, graph, tmp_path, backend, model_key, n_layers,
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
-    bound = 2 * n_layers + 4 + (6 if strat.shadow_nodes else 0)
+    bound = 2 * n_layers + 4 + (4 if strat.shadow_nodes else 0)
     assert len(sc.statusTracker().getJobIdsForGroup(group)) <= bound
 
 
@@ -135,7 +135,7 @@ def test_frame_traffic_equals_accounting(
     n = nodes.count()
     mirrors = 0
     if strat.shadow_nodes:  # a hub of out-degree d has ceil(d / threshold) - 1 mirrors
-        thr = shadow_threshold(edges.count(), N_WORKERS, strat.shadow_lambda)
+        thr = shadow_threshold(edges.count(), N_WORKERS)
         deg = edges.groupBy("src").count()
         mirrors = deg.select(F.sum(F.ceil(F.col("count") / thr) - 1)).first()[0]
         assert mirrors > 0

@@ -1,6 +1,7 @@
 """Inference runs leave the caller's files alone, and release what they
 create when they fail (Parquet rounds) or finish (resident vertex state,
-the k-hop baseline's neighborhoods)."""
+the vertex rows a shadow-nodes load holds, the k-hop baseline's
+neighborhoods)."""
 import pytest
 
 from repro.backends.khop import KhopBudgetExceeded, infer_khop
@@ -8,6 +9,9 @@ from repro.backends.mapreduce import infer_mr
 from repro.backends.pregel import infer_pregel
 from repro.core.model import build_sage
 from repro.graphs.generators import power_law_graph
+from repro.strategies import StrategyConfig
+
+ALL = StrategyConfig.all()
 
 
 @pytest.fixture(scope="module")
@@ -19,12 +23,12 @@ def _persistent_rdds(spark) -> set:
     return set(dict(spark.sparkContext._jsc.getPersistentRDDs()).keys())
 
 
-def _run(backend, spark, nodes, edges, model, workdir):
+def _run(backend, spark, nodes, edges, model, workdir, strat=StrategyConfig.none()):
     if backend == "mr":
-        return infer_mr(spark, nodes, edges, model, workdir=workdir)
+        return infer_mr(spark, nodes, edges, model, workdir=workdir, strategies=strat)
     if backend == "khop":
         return infer_khop(spark, nodes, edges, model, fanout=3)
-    return infer_pregel(spark, nodes, edges, model)
+    return infer_pregel(spark, nodes, edges, model, strategies=strat)
 
 
 def test_mr_keeps_callers_files(spark, graph, tmp_path):
@@ -41,13 +45,19 @@ def test_mr_keeps_callers_files(spark, graph, tmp_path):
         assert (run / "state_1.parquet").is_dir() and (run / "state_2.parquet").is_dir()
 
 
-@pytest.mark.parametrize("backend", ["mr", "pregel", "khop"])
-def test_failed_run_leaves_nothing_behind(spark, graph, tmp_path, backend):
+@pytest.mark.parametrize(
+    "backend,strat",
+    [
+        *(pytest.param(b, StrategyConfig.none(), id=b) for b in ("mr", "pregel", "khop")),
+        *(pytest.param(b, ALL, id=f"{b}-all") for b in ("mr", "pregel")),
+    ],
+)
+def test_failed_run_leaves_nothing_behind(spark, graph, tmp_path, backend, strat):
     nodes, edges = graph  # 6-wide features
     model = build_sage(7, 10, 4)
     before = set(tmp_path.iterdir()), _persistent_rdds(spark)
     with pytest.raises(Exception, match="width 6 where width 7 is expected"):
-        _run(backend, spark, nodes, edges, model, tmp_path)
+        _run(backend, spark, nodes, edges, model, tmp_path, strat)
     assert set(tmp_path.iterdir()) == before[0]
     assert _persistent_rdds(spark) <= before[1]
 
@@ -55,7 +65,20 @@ def test_failed_run_leaves_nothing_behind(spark, graph, tmp_path, backend):
 def test_pregel_releases_vertex_state(spark, graph):
     nodes, edges = graph
     before = _persistent_rdds(spark)
-    result, _ = infer_pregel(spark, nodes, edges, build_sage(6, 10, 4))
+    for strat in (StrategyConfig.none(), ALL):
+        result, _ = infer_pregel(spark, nodes, edges, build_sage(6, 10, 4), strategies=strat)
+        assert result.count() == nodes.count()
+    assert _persistent_rdds(spark) <= before
+
+
+def test_mr_holds_nothing_after_the_load(spark, graph, tmp_path):
+    """Under shadow nodes the MapReduce load holds the vertex rows in
+    memory, and releases them once ``state_0`` is stored."""
+    nodes, edges = graph
+    before = _persistent_rdds(spark)
+    result, _ = infer_mr(
+        spark, nodes, edges, build_sage(6, 10, 4), workdir=tmp_path, strategies=ALL
+    )
     assert result.count() == nodes.count()
     assert _persistent_rdds(spark) <= before
 

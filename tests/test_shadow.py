@@ -5,7 +5,7 @@ original nodes, the rest mirrors."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro.backends.common import worker_of
+from repro.backends.common import N_WORKERS, worker_of
 from repro.backends.mapreduce import infer_mr
 from repro.backends.pregel import build_vertices
 from repro.core.model import build_sage
@@ -27,17 +27,17 @@ def skewed(spark):
 @pytest.fixture(scope="module")
 def shadowed(spark, skewed):
     _, edges, verts = skewed
-    rows, n_hubs, floor = apply_shadow_nodes(verts, threshold=50)
-    return edges, verts, rows, n_hubs, floor, _copies(spark, verts, floor)
+    rows, n_hubs, floor, thr = apply_shadow_nodes(verts)
+    return edges, verts, rows, n_hubs, floor, thr, _copies(spark, verts, floor, thr)
 
 
-def _copies(spark, verts, floor):
+def _copies(spark, verts, floor, thr):
     """``(orig, copy)`` for every hub copy, mirrors allocated as documented:
-    hubs in id order, ``ceil(d / 50) - 1`` consecutive ids each from
+    hubs in id order, ``ceil(d / thr) - 1`` consecutive ids each from
     ``floor``; every other node is its own only copy."""
     pairs, nxt = [], floor
-    for hub, d in sorted(verts.filter(F.size("adj") > 50).select("id", F.size("adj")).collect()):
-        n = -(-d // 50)
+    for hub, d in sorted(verts.filter(F.size("adj") > thr).select("id", F.size("adj")).collect()):
+        n = -(-d // thr)
         pairs += [(hub, hub), *((hub, m) for m in range(nxt, nxt + n - 1))]
         nxt += n - 1
     hubs = spark.createDataFrame(pairs, "orig long, copy long")
@@ -58,12 +58,15 @@ def test_threshold_heuristic():
 
 
 def test_hubs_detected(shadowed):
-    edges, verts, rows, n_hubs, floor, _ = shadowed
-    expect = edges.groupBy("src").count().filter("count > 50").count()
-    assert n_hubs == expect and n_hubs > 0
+    """The rewrite decides the paper's threshold from its rows' edges,
+    and the hubs from the edges' out-degrees."""
+    edges, verts, rows, n_hubs, floor, thr, _ = shadowed
+    assert thr == shadow_threshold(edges.count(), N_WORKERS)
+    deg = edges.groupBy("src").count()
+    assert n_hubs == deg.filter(F.col("count") > thr).count() and n_hubs > 0
     assert floor == verts.agg(F.max("id")).first()[0] + 1
-    # a hub of out-degree d has ceil(d / 50) copies, itself included
-    want = edges.groupBy("src").count().select(F.sum(F.ceil(F.col("count") / 50) - 1)).first()[0]
+    # a hub of out-degree d has ceil(d / thr) copies, itself included
+    want = deg.select(F.sum(F.ceil(F.col("count") / thr) - 1)).first()[0]
     assert rows.filter(F.col("id") >= floor).count() == want
 
 
@@ -72,21 +75,21 @@ def test_mirror_out_degree_bounded(shadowed):
     destinations. (Copies of in-edges toward mirrors add out-edges to hub
     *senders* — the paper's acknowledged overhead — so they are excluded
     from the bound.)"""
-    _, _, rows, _, floor, _ = shadowed
+    _, _, rows, _, floor, thr, _ = shadowed
     kept = F.size(F.filter("adj", lambda d: d < floor))
-    assert rows.agg(F.max(kept)).first()[0] <= 50
+    assert rows.agg(F.max(kept)).first()[0] <= thr
 
 
 def test_total_out_edges_preserved(shadowed):
     """Splitting only redistributes original out-edges over mirrors."""
-    edges, _, rows, _, floor, _ = shadowed
+    edges, _, rows, _, floor, _, _ = shadowed
     assert _sent(rows).filter(F.col("dst") < floor).count() == edges.count()
 
 
 def test_out_edge_multiset_preserved_oracle(shadowed):
     """Folding mirror ids back onto their hubs must give exactly the
     original edges."""
-    edges, _, rows, _, floor, copies = shadowed
+    edges, _, rows, _, floor, _, copies = shadowed
     folded = (
         _sent(rows)
         .filter(F.col("dst") < floor)
@@ -103,7 +106,7 @@ def test_out_edge_multiset_preserved_oracle(shadowed):
 def test_mirrors_have_all_in_edges(shadowed):
     """Every sender to a hub also sends to each of its mirrors (a hub's
     own copies count as one sender)."""
-    _, _, rows, _, floor, copies = shadowed
+    _, _, rows, _, floor, _, copies = shadowed
     sender = copies.select(F.col("copy").alias("src"), F.col("orig").alias("sender"))
     sent = _sent(rows).join(sender, "src").select("sender", "dst")
     mirrors = copies.filter(F.col("copy") >= floor)
@@ -116,7 +119,7 @@ def test_mirrors_have_all_in_edges(shadowed):
 
 def test_mirror_nodes_copy_features(shadowed):
     """Each copy carries its hub's ``h`` and lives on its own worker."""
-    _, verts, rows, _, _, copies = shadowed
+    _, verts, rows, _, _, _, copies = shadowed
     got = rows.join(copies.withColumnRenamed("copy", "id"), "id").select(
         "orig", F.col("h").alias("got"), "pid", "id"
     )
@@ -127,12 +130,13 @@ def test_mirror_nodes_copy_features(shadowed):
 
 
 def test_noop_when_no_hubs(spark):
-    nodes, edges = power_law_graph(
-        spark, n_nodes=100, avg_degree=3, skew="none", feat_dim=4, seed=1
-    )
+    """On a directed ring every out-degree is 1, so no node is a hub."""
+    ring = spark.range(100)
+    nodes = ring.select("id", F.array(F.lit(0.0)).alias("feat"))
+    edges = ring.select(F.col("id").alias("src"), ((F.col("id") + 1) % 100).alias("dst"))
     verts = build_vertices(nodes, edges)
-    rows, n_hubs, floor = apply_shadow_nodes(verts, threshold=10**9)
-    assert n_hubs == 0 and floor is None
+    rows, n_hubs, floor, thr = apply_shadow_nodes(verts)
+    assert thr == shadow_threshold(100, N_WORKERS) and n_hubs == 0 and floor is None
     assert rows is verts
 
 

@@ -8,7 +8,6 @@ from repro.strategies import StrategyConfig
 def test_defaults_off():
     sc = StrategyConfig()
     assert not (sc.partial_gather or sc.broadcast or sc.shadow_nodes)
-    assert sc.shadow_lambda == 0.1
 
 
 def test_none_and_all():
@@ -32,8 +31,3 @@ def test_frozen():
 )
 def test_threshold_formula(edges, workers, expect):
     assert shadow_threshold(edges, workers) == expect
-
-
-def test_threshold_lambda_scales():
-    assert shadow_threshold(1000, 10, lam=0.5) == 50
-    assert shadow_threshold(1000, 10, lam=0.1) == 10
