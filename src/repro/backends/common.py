@@ -13,14 +13,15 @@
   and byte counts per layer, derived from the edge stream.
 * **Local checkpoints** (:func:`checkpoint`, :func:`release`): the one
   place that materializes a DataFrame in executor memory and drops it
-  again.
+  again, its query planned by :func:`planned`.
 """
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.gas import GASLayer
@@ -110,19 +111,58 @@ def count_comm(
     return rows, rows * layer.msg_dim
 
 
+@contextmanager
+def planned(spark: SparkSession):
+    """Plan the engine's own queries as one Spark job with one task per core.
+
+    While open, adaptive execution is off, so a query's shuffles run as
+    stages of the one job that materializes it rather than a job each,
+    and a shuffle has ``min(defaultParallelism, N_WORKERS)`` partitions:
+    one Python task per core, and never more than there are logical
+    workers to group by. More partitions cost more than they gain in
+    balance: at 2 × cores each extra Python task cost ~90 ms of CPU on a
+    4-core machine at bench size.
+
+    The settings are session-wide while the scope is open: a concurrent
+    query in the same session would be planned under them too. On exit
+    both are restored to the values found, also when the body fails, so
+    the session's own settings are left alone.
+    """
+    conf = spark.conf
+    scoped = {
+        "spark.sql.adaptive.enabled": "false",
+        "spark.sql.shuffle.partitions": str(
+            min(spark.sparkContext.defaultParallelism, N_WORKERS)
+        ),
+    }
+    found = {key: conf.get(key) for key in scoped}
+    try:
+        for key, value in scoped.items():
+            conf.set(key, value)
+        yield
+    finally:
+        for key, value in found.items():
+            conf.set(key, value)
+
+
 def checkpoint(df: DataFrame) -> DataFrame:
-    """``df`` materialized in executor memory with its lineage cut.
+    """``df`` materialized in executor memory with its lineage cut, its
+    query planned as one job under :func:`planned`.
 
     localCheckpoint keeps the state resident (the Pregel property) AND
     truncates plan lineage — without it, iterative supersteps nest plans
-    until the driver OOMs. Release with :func:`release`, also when
-    materializing fails."""
-    cp = df.localCheckpoint(eager=False)
-    try:
-        _blocks(cp).count()  # one job, as an eager checkpoint runs
-    except BaseException:
-        release(cp)
-        raise
+    until the driver OOMs. The physical plan is fixed when localCheckpoint
+    is called, so the scope wraps that call as well as the job that
+    materializes it; its settings are session-wide while it is open, and
+    the session's own come back when it closes. Release with
+    :func:`release`, also when materializing fails."""
+    with planned(df.sparkSession):
+        cp = df.localCheckpoint(eager=False)
+        try:
+            _blocks(cp).count()  # one job, as an eager checkpoint runs
+        except BaseException:
+            release(cp)
+            raise
     return cp
 
 

@@ -1,7 +1,7 @@
 """Every module under ``src/repro`` imports, so a deletion that leaves a
 dangling import fails here in seconds rather than inside a Spark job; and
-the modules keep to the shared Arrow data path, checkpoint lifecycle and
-reduce kernel."""
+the modules keep to the shared Arrow data path, checkpoint lifecycle,
+planner scope and reduce kernel."""
 import importlib
 import pkgutil
 import re
@@ -26,6 +26,17 @@ def test_arrow_passes_and_one_checkpoint_owner():
         assert "applyInPandas" not in text and "mapInPandas" not in text, path
         if path != root / "backends" / "common.py":
             assert "localCheckpoint" not in text, path
+
+
+def test_one_owner_of_the_planner_settings():
+    """Only ``backends/common.py`` sets adaptive execution or the shuffle
+    partition count, inside the scope that restores them."""
+    root = Path(repro.__file__).parent
+    for path in root.rglob("*.py"):
+        text = path.read_text()
+        owner = path == root / "backends" / "common.py"
+        assert ("spark.sql.adaptive.enabled" in text) == owner, path
+        assert ("spark.sql.shuffle.partitions" in text) == owner, path
 
 
 def test_one_copy_of_the_ordering_and_scatter_kernels():
