@@ -10,11 +10,13 @@ order it is reduced:
   payload)``; node states carry ``id`` and ``h``; vectors travel as
   ``array<double>`` and are read as one ``[n, d]`` matrix with
   :func:`to_matrix`, written back with :func:`from_matrix` — no per-row
-  Python objects. A broadcast message (:func:`broadcast`) carries its
-  payload once for all its sender's destinations on one receiver worker:
-  it adds their list ``adj``, and its ``dst`` is the first of them, so it
-  is routed like any message to that ``dst``. :func:`update` fans it out
-  to one message per destination.
+  Python objects. :func:`send` gives every message its shape: the
+  payload is the layer's ``scatter`` of the sender's state, shipped per
+  edge, as one partial per ``dst``, or as a broadcast message that adds
+  the list ``adj`` of its destinations on one receiver worker and whose
+  ``dst`` is the first of them, so it is routed like any message to that
+  ``dst``. :func:`update` fans a broadcast message out to one message per
+  destination.
 * **Placement.** :func:`worker` is the NumPy copy of
   :func:`repro.backends.common.worker_of`, for a sender that groups its
   destinations by receiver worker.
@@ -25,10 +27,11 @@ order it is reduced:
   states sorted by ``id``, which makes results bit-identical across runs
   (§V-B1's consistency, at full strength).
 
-The per-batch functions are :func:`combine` (sender-side partial
-gather), :func:`broadcast` (sender-side broadcast), :func:`update`
-(gather → aggregate → apply_node, the receiver side of one layer) and
-:func:`head` (the prediction slice).
+The per-batch functions are :func:`send` (scatter, and the sender-side
+partial gather or broadcast), :func:`update` (gather → aggregate →
+apply_node, the receiver side of one layer) and :func:`head` (the
+prediction slice). Both :func:`send` and :func:`update` take the
+layer's ``ship``, :func:`repro.backends.common.shipping`'s rule.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ import pyarrow.compute as pc
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from repro.backends.common import N_WORKERS
-from repro.core.gas import Aggregator, GASLayer
+from repro.core.gas import GASLayer
 from repro.core.model import GNNModel
 
 MSG_SCHEMA = StructType(
@@ -155,46 +158,59 @@ def with_state(verts: pa.Table, h: np.ndarray) -> pa.Table:
 # -- the per-batch GAS stages ----------------------------------------------------
 
 
-def combine(agg: Aggregator, tbl: pa.Table) -> pa.Table:
-    """Sender-side lift: one partial per ``(sender worker, dst)``.
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Whether each row of sorted ``keys`` starts a run of equal keys."""
+    starts = np.ones(len(keys[0]), dtype=bool)
+    starts[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    return starts
 
-    ``tbl`` holds raw messages plus their sender worker ``wsrc``. The
-    worker id rides on as ``src`` of the partial, so the receiver merges
-    partials in a fixed order too.
+
+def send(layer: GASLayer, ship: str, verts: pa.Table) -> pa.Table:
+    """The messages one logical worker's ``verts`` send along their
+    out-adjacency ``adj``, each sender's payload being ``layer.scatter``
+    of its ``h``, shaped as ``ship`` (:func:`repro.backends.common.shipping`)
+    rules:
+
+    * ``"edge"`` — one message per out-edge;
+    * ``"partial"`` — one lifted partial per ``dst``, its ``src`` the
+      senders' ``pid``;
+    * ``"broadcast"`` — one message per ``(id, worker(dst))``, carrying the
+      payload once and, as ``adj``, its destinations on that worker,
+      ``dst`` being the first of them.
     """
-    order = order_by(tbl, "wsrc", "dst", "src")
-    w, dst = tbl["wsrc"].to_numpy()[order], tbl["dst"].to_numpy()[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (w[1:] != w[:-1]) | (dst[1:] != dst[:-1])
-    seg = np.cumsum(starts) - 1
-    vals = to_matrix(tbl["payload"], agg.dim)[order]
-    partials = agg.lift_segments(vals, seg, int(starts.sum()))
-    return pa.table(
-        {"src": w[starts], "dst": dst[starts], "payload": from_matrix(partials)}
-    )
-
-
-def broadcast(verts: pa.Table) -> pa.Table:
-    """Sender-side broadcast: one message per ``(id, worker(dst))`` over
-    the out-adjacency ``adj`` of ``verts``, carrying the sender's ``h``
-    once and, as ``adj``, its destinations on that worker, ``dst`` being
-    the first of them."""
     adj = verts["adj"].combine_chunks()
     row = pc.list_parent_indices(adj).to_numpy()
     dst = pc.list_flatten(adj).to_numpy()
-    w = worker(dst)
-    order = np.lexsort((w, row))
-    row, dst, w = row[order], dst[order], w[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (row[1:] != row[:-1]) | (w[1:] != w[:-1])
-    first = np.flatnonzero(starts)
-    offsets = pa.array(np.append(first, len(order)).astype(np.int32))
+    payload = layer.scatter(to_matrix(verts["h"], layer.in_dim))
+    if ship == "broadcast":
+        w = worker(dst)
+        order = np.lexsort((w, row))
+        row, dst = row[order], dst[order]
+        first = np.flatnonzero(_starts(row, w[order]))
+        row = row[first]
+        offsets = pa.array(np.append(first, len(order)).astype(np.int32))
+        adj = pa.ListArray.from_arrays(offsets, pa.array(dst))
+        return pa.table(
+            {
+                "src": verts["id"].take(row),
+                "dst": dst[first],
+                "payload": from_matrix(payload[row]),
+                "adj": adj,
+            }
+        )
+    src = verts["id"].to_numpy()[row]
+    if ship == "edge":
+        return pa.table({"src": src, "dst": dst, "payload": from_matrix(payload[row])})
+    order = np.lexsort((src, dst))
+    row, dst = row[order], dst[order]
+    starts = _starts(dst)
+    seg, n = np.cumsum(starts) - 1, int(starts.sum())
+    partials = layer.aggregator.lift_segments(payload[row], seg, n)
     return pa.table(
         {
-            "src": verts["id"].take(row[first]),
-            "dst": dst[first],
-            "payload": verts["h"].take(row[first]),
-            "adj": pa.ListArray.from_arrays(offsets, pa.array(dst)),
+            "src": verts["pid"].to_numpy()[row[starts]],
+            "dst": dst[starts],
+            "payload": from_matrix(partials),
         }
     )
 
@@ -207,21 +223,13 @@ def _fan_out(msgs: pa.Table) -> pa.Table:
     return pa.table({"src": msgs["src"].take(row), "dst": pc.list_flatten(adj), "row": row})
 
 
-def update(
-    layer: GASLayer,
-    verts: pa.Table,
-    msgs: pa.Table,
-    *,
-    combined: bool,
-    broadcast: bool = False,
-) -> pa.Table:
-    """One layer's receiver side over a bucket of nodes and their messages.
+def update(layer: GASLayer, ship: str, verts: pa.Table, msgs: pa.Table) -> pa.Table:
+    """One layer's receiver side over a bucket of nodes and the messages
+    :func:`send` shaped as ``ship`` rules for them.
 
-    ``verts`` holds ``id``, ``h`` and any columns to pass through;
-    ``msgs`` holds the messages to those nodes — raw payloads, partials
-    from :func:`combine` when ``combined``, or messages from
-    :func:`broadcast` when ``broadcast``, which are fanned out to one per
-    destination first. Partial layers reduce (lift, or merge partials),
+    ``verts`` holds ``id``, ``h`` and any columns to pass through.
+    Broadcast messages are fanned out to one per destination first.
+    Partial layers reduce (lift per-edge payloads, or merge partials),
     finalize and ``apply_node``; a node without messages gets a zero
     aggregate. Union layers hand every message to ``apply_node_union``.
     Returns ``verts`` sorted by id with ``h`` replaced by the new state.
@@ -230,17 +238,17 @@ def update(
     ids = verts["id"].to_numpy()
     h = to_matrix(verts["h"], layer.in_dim)
     payload = msgs["payload"]
-    if broadcast:
+    if ship == "broadcast":
         msgs = _fan_out(msgs)
     order = order_by(msgs, "dst", "src")
     seg = rows(ids, msgs["dst"].to_numpy()[order])
-    if broadcast:  # payload rows, in the same order
+    if ship == "broadcast":  # payload rows, in the same order
         order = msgs["row"].to_numpy()[order]
     if not layer.partial:
         vals = to_matrix(payload, layer.msg_dim)[order]
         return with_state(verts, layer.apply_node_union(h, vals, seg))
     agg = layer.aggregator
-    if combined:
+    if ship == "partial":
         vals = to_matrix(payload, agg.partial_dim)[order]
         partials = agg.merge_segments(vals, seg, len(ids))
     else:

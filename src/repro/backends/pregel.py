@@ -7,8 +7,9 @@ place"). Between supersteps the engine keeps one *frame* with two
 kinds of rows: vertex rows ``(id, pid, adj, h)`` and the message
 rows ``(src, dst, payload)`` those vertices sent, each kind's columns null
 in the other kind's rows — except ``adj``, which a broadcast message row
-(:func:`repro.backends.kernel.broadcast`) fills with its sender's
-destinations on its receiver worker.
+fills with its sender's destinations on its receiver worker. The engine
+does not build messages: ``send`` and ``compute`` return them, and the
+vertex program makes them with :func:`repro.backends.kernel.send`.
 
 A superstep is one Python pass per logical worker over its vertices plus
 the messages addressed to them: ``compute`` applies the messages, then
@@ -131,22 +132,6 @@ def _split(tbl: pa.Table) -> tuple[pa.Table, pa.Table]:
     )
 
 
-def out_messages(verts: pa.Table, payload: pa.Array | pa.ChunkedArray) -> pa.Table:
-    """One message per out-edge of ``verts``, carrying the sender's row of
-    ``payload``: ``(wsrc, src, dst, payload)``, ``wsrc`` being the sender's
-    worker as :func:`kernel.combine` expects."""
-    adj = verts["adj"].combine_chunks()
-    row = pc.list_parent_indices(adj)
-    return pa.table(
-        {
-            "wsrc": verts["pid"].take(row),
-            "src": verts["id"].take(row),
-            "dst": pc.list_flatten(adj),
-            "payload": payload.take(row),
-        }
-    )
-
-
 # -- the engine --------------------------------------------------------------------
 
 
@@ -244,15 +229,15 @@ def load_gnn(
     ``rundir`` if given) and its ``compute``.
 
     Loading sends layer 0's messages. Superstep k applies layer k to its
-    messages (:func:`kernel.update`) and sends layer k+1's along each
-    vertex's out-adjacency, as :func:`shipping` rules for that layer: a
-    ``partial`` layer under partial gather has them combined per
-    ``(worker(src), dst)`` in that pass (:func:`kernel.combine`); a
-    broadcastable layer under broadcast sends one per ``(src,
-    worker(dst))`` (:func:`kernel.broadcast`), which the receiving pass
-    fans out; any other layer one per edge. The last layer's ``compute``
-    sends nothing and returns the final vertex rows, for the caller's last
-    superstep to apply the prediction head to in the same pass. Under shadow nodes the
+    messages (:func:`kernel.update`) and sends layer k+1's
+    (:func:`kernel.send`), both shaped as :func:`shipping` rules for that
+    layer: a ``partial`` layer under partial gather has them combined per
+    ``(worker(src), dst)`` in that pass; a broadcastable layer under
+    broadcast sends one per ``(src, worker(dst))``, which the receiving
+    pass fans out; any other layer one per edge. The last layer's
+    ``compute`` sends nothing and returns the final vertex rows, for the
+    caller's last superstep to apply the prediction head to in the same
+    pass. Under shadow nodes the
     vertex rows, held in memory until the load is stored, split hubs into
     mirrors as decided from them, and the last layer drops the mirrors
     again; with ``instrument``, ``stats`` gets each layer's traffic as
@@ -265,19 +250,10 @@ def load_gnn(
     ships = [shipping(layer, partial_gather=pg, broadcast=bc) for layer in layers]
 
     def send(k: int, verts: pa.Table) -> pa.Table:
-        if ships[k] == "broadcast":
-            return kernel.broadcast(verts)
-        msgs = out_messages(verts, verts["h"])
-        return kernel.combine(layers[k].aggregator, msgs) if ships[k] == "partial" else msgs
+        return kernel.send(layers[k], ships[k], verts)
 
     def compute(k: int, verts: pa.Table, msgs: pa.Table) -> pa.Table:
-        verts = kernel.update(
-            layers[k],
-            verts,
-            msgs,
-            combined=ships[k] == "partial",
-            broadcast=ships[k] == "broadcast",
-        )
+        verts = kernel.update(layers[k], ships[k], verts, msgs)
         if k + 1 < len(layers):
             return frame(verts, send(k + 1, verts))
         return verts if floor is None else verts.filter(pc.less(verts["id"], floor))

@@ -62,7 +62,7 @@ class SAGEConv(GASLayer):
     # -- training / reference forward ---------------------------------------
     def forward(self, h: Tensor, src, dst, efeat=None) -> Tensor:
         n = h.data.shape[0]
-        msgs = gather_rows(h, np.asarray(src, dtype=np.int64))
+        msgs = gather_rows(self.scatter(h), np.asarray(src, dtype=np.int64))
         aggr = _SEG_FNS[self.agg](msgs, np.asarray(dst, dtype=np.int64), n)
         return self._combine(h, aggr)
 

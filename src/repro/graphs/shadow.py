@@ -20,7 +20,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import ArrayType, LongType
 
-from repro.backends.common import N_WORKERS, worker_of
+from repro.backends.common import N_WORKERS, planned, worker_of
 
 LAMBDA = 0.1
 
@@ -38,15 +38,17 @@ def apply_shadow_nodes(vertices: DataFrame) -> tuple[DataFrame, int, int | None,
     expands to all of its copies, so each mirror gets all in-edges.
 
     E with the largest id, then the hubs, are two queries over ``vertices``
-    (store them first if costly). Returns ``(rows, n_hubs, floor,
+    (store them first if costly), each planned as one Spark job
+    (:func:`~repro.backends.common.planned`). Returns ``(rows, n_hubs, floor,
     threshold)``, mirror ids being ``floor, floor + 1, …``; with no hub,
     ``(vertices, 0, None, threshold)``. Raises ``ValueError`` if a mirror
     id would not fit in int64.
     """
     deg = F.size("adj")
-    n_edges, max_id = vertices.agg(F.sum(deg), F.max("id")).first()
-    threshold = shadow_threshold(n_edges or 0, N_WORKERS)
-    hubs = vertices.filter(deg > threshold).select("id", deg).collect()
+    with planned(vertices.sparkSession):
+        n_edges, max_id = vertices.agg(F.sum(deg), F.max("id")).first()
+        threshold = shadow_threshold(n_edges or 0, N_WORKERS)
+        hubs = vertices.filter(deg > threshold).select("id", deg).collect()
     if not hubs:
         return vertices, 0, None, threshold
     floor = next_id = max_id + 1

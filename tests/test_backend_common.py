@@ -7,6 +7,7 @@ from pyspark.sql import functions as F
 
 from repro.backends import kernel
 from repro.backends.common import N_WORKERS, RoundStats, RunStats, worker_of
+from repro.core.gas import GASLayer
 from repro.graphs.generators import power_law_graph
 
 
@@ -59,7 +60,7 @@ def test_broadcast_rows_route_with_their_destinations(spark):
         pa.array(rng.choice(ids, int(deg.sum()))),
     )
     verts = pa.table({"id": ids, "adj": adj, "h": kernel.from_matrix(rng.random((n, 3)))})
-    rows = kernel.broadcast(verts)
+    rows = kernel.send(GASLayer(3, 3), "broadcast", verts)
     df = spark.createDataFrame(rows.select(["src", "dst", "adj"]).to_pandas())
     fanned = df.select("src", "dst", F.explode("adj").alias("to"))
     assert fanned.count() == deg.sum()

@@ -10,8 +10,9 @@ import pytest
 
 from repro.backends.mapreduce import infer_mr
 from repro.backends.pregel import build_vertices, infer_pregel
-from repro.core.model import build_gat, build_sage
+from repro.core.model import Dense, GNNModel, build_gat, build_sage
 from repro.core.reference import forward_full
+from repro.core.sage import SAGEConv
 from repro.graphs.generators import power_law_graph
 from repro.graphs.local import LocalGraph
 from repro.graphs.shadow import apply_shadow_nodes
@@ -125,6 +126,33 @@ def test_gat_ignores_partial_gather_safely(spark, graph, tmp_path, strat_key):
         strategies=STRATS[strat_key],
     )
     _check(result, ref)
+
+
+class ScaledSAGE(SAGEConv):
+    """SAGE-mean whose nodes send twice their state."""
+
+    def scatter(self, h):
+        return h * 2.0
+
+
+@pytest.mark.parametrize("backend", ["mr", "pregel"])
+@pytest.mark.parametrize("strat_key", ["none", "pg", "bc"])
+def test_scatter_is_the_data_path(spark, graph, tmp_path, backend, strat_key):
+    """A layer's ``scatter`` is what its nodes send, per edge, as partials
+    and as broadcast rows: overriding it changes the backends' logits, to
+    those of the layer's own forward."""
+    nodes, edges, g = graph
+    rng = np.random.default_rng(5)  # MODELS["sage"]'s weights
+    layers = [ScaledSAGE(6, 10, rng=rng), ScaledSAGE(10, 10, rng=rng)]
+    model = GNNModel(layers, Dense(10, 4, rng=rng))
+    strat = STRATS[strat_key]
+    if backend == "mr":
+        result, _ = infer_mr(spark, nodes, edges, model, workdir=tmp_path, strategies=strat)
+    else:
+        result, _ = infer_pregel(spark, nodes, edges, model, strategies=strat)
+    _check(result, forward_full(model, g))
+    got = np.stack(result.toPandas().sort_values("id")["logits"].to_numpy())
+    assert not np.allclose(got, forward_full(MODELS["sage"](), g), atol=1e-3)
 
 
 @pytest.mark.parametrize("strat_key", ["none", "all"])

@@ -49,6 +49,17 @@ def test_one_copy_of_the_ordering_and_scatter_kernels():
             assert not primitives.search(path.read_text()), path
 
 
+def test_one_module_shapes_messages():
+    """Under ``backends/``, only ``kernel.py`` expands adjacency lists, so
+    every message is shaped by ``kernel.send`` and fanned out by
+    ``kernel.update``."""
+    backends = Path(repro.__file__).parent / "backends"
+    expands = re.compile(r"\blist_(parent_indices|flatten)\b")
+    for path in backends.rglob("*.py"):
+        if path.name != "kernel.py":
+            assert not expands.search(path.read_text()), path
+
+
 def test_one_copy_of_each_placement_hash():
     """Spark computes a node's logical worker (``pmod`` of ``xxhash64``)
     only in ``common.py`` and NumPy only in ``kernel.py``, so the two

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.backends.pregel import Pregel, build_vertices, frame, out_messages
+from repro.backends import kernel
+from repro.backends.pregel import Pregel, build_vertices, frame
+from repro.core.gas import GASLayer
 from repro.graphs.generators import power_law_graph
 from repro.graphs.local import LocalGraph
 
@@ -29,6 +31,11 @@ def test_build_vertices_adjacency(spark, graph):
     assert (pdf["pid"] >= 0).all() and (pdf["pid"] < 16).all()
 
 
+def _send(verts):
+    """One message per out-edge, carrying the sender's state."""
+    return kernel.send(GASLayer(4, 4), "edge", verts)
+
+
 def _vertex_ids(eng) -> list[int]:
     return sorted(r.id for r in eng.frame.filter(F.col("id").isNotNull()).select("id").collect())
 
@@ -47,14 +54,11 @@ def test_vertices_preserved_across_supersteps(spark, graph, steps):
     each superstep must release the frame it replaces."""
     nodes, edges, _ = graph
 
-    def send(verts):
-        return out_messages(verts, verts["h"])
-
     def compute(step, verts, msgs):
-        return frame(verts, send(verts) if step + 1 < steps else None)
+        return frame(verts, _send(verts) if step + 1 < steps else None)
 
     before = _persistent_rdds(spark)
-    eng = Pregel(build_vertices(nodes, edges), send)
+    eng = Pregel(build_vertices(nodes, edges), _send)
     ids = _vertex_ids(eng)
     assert len(ids) == len(set(ids)) == nodes.count()
     for step in range(steps):
@@ -68,6 +72,6 @@ def test_vertices_preserved_across_supersteps(spark, graph, steps):
 
 def test_scatter_emits_one_message_per_edge(spark, graph):
     nodes, edges, _ = graph
-    eng = Pregel(build_vertices(nodes, edges), lambda v: out_messages(v, v["h"]))
+    eng = Pregel(build_vertices(nodes, edges), _send)
     assert _messages_rows(eng) == edges.count()
     eng.stop()

@@ -74,9 +74,9 @@ def test_job_count_per_run(spark, graph, tmp_path, backend, model_key, n_layers,
     own: the load's three exchanges and write are four, each round's
     exchange and write two, 2L + 4 in all. Both apply the head in the last
     superstep's pass. Shadow nodes add one job checkpointing the vertex
-    rows and three deciding the hubs over them (the aggregate's exchange
-    and result, the hub filter); MapReduce's load then writes from the
-    held rows, one exchange and the write, so it adds two in all.
+    rows and two deciding the hubs over them (the aggregate, the hub
+    filter, each planned as one job); MapReduce's load then writes from
+    the held rows, one exchange and the write, so it adds one in all.
     Broadcast adds nothing."""
     nodes, edges = graph
     model = _traffic_model(model_key, n_layers)
@@ -89,9 +89,9 @@ def test_job_count_per_run(spark, graph, tmp_path, backend, model_key, n_layers,
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
     if backend == "mr":
-        bound = 2 * n_layers + 4 + (2 if strat.shadow_nodes else 0)
+        bound = 2 * n_layers + 4 + (1 if strat.shadow_nodes else 0)
     else:
-        bound = n_layers + 1 + (4 if strat.shadow_nodes else 0)
+        bound = n_layers + 1 + (3 if strat.shadow_nodes else 0)
     assert len(sc.statusTracker().getJobIdsForGroup(group)) <= bound
 
 
