@@ -30,8 +30,9 @@ N_WORKERS = 16
 
 
 def worker_of(col):
-    """Logical worker (simulated machine) hosting a node id; a sender
-    computes the same in NumPy with :func:`repro.backends.kernel.worker`."""
+    """Logical worker (simulated machine) hosting a node id, a vertex row's
+    ``pid``; a message's is its receiver's, which the sender computes in
+    NumPy (:func:`repro.backends.kernel.worker`)."""
     return F.pmod(F.xxhash64(col), F.lit(N_WORKERS))
 
 

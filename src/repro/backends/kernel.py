@@ -7,19 +7,18 @@ the only code that knows how a bucket looks on the wire and in what
 order it is reduced:
 
 * **Wire format.** Messages are :data:`MSG_SCHEMA` rows ``(src, dst,
-  payload)``; node states carry ``id`` and ``h``; vectors travel as
-  ``array<double>`` and are read as one ``[n, d]`` matrix with
-  :func:`to_matrix`, written back with :func:`from_matrix` — no per-row
-  Python objects. :func:`send` gives every message its shape: the
-  payload is the layer's ``scatter`` of the sender's state, shipped per
-  edge, as one partial per ``dst``, or as a broadcast message that adds
-  the list ``adj`` of its destinations on one receiver worker and whose
-  ``dst`` is the first of them, so it is routed like any message to that
-  ``dst``. :func:`update` fans a broadcast message out to one message per
-  destination.
+  payload)`` plus the ``pid`` of the logical worker they go to; node
+  states carry ``id`` and ``h``; vectors travel as ``array<double>`` and
+  are read as one ``[n, d]`` matrix with :func:`to_matrix`, written back
+  with :func:`from_matrix` — no per-row Python objects. :func:`send`
+  gives every message its shape: the payload is the layer's ``scatter``
+  of the sender's state, shipped per edge, as one partial per ``dst``, or
+  as a broadcast message that carries, in place of a ``dst``, the list
+  ``adj`` of its destinations on its ``pid``. :func:`update` fans a
+  broadcast message out to one message per destination.
 * **Placement.** :func:`worker` is the NumPy copy of
-  :func:`repro.backends.common.worker_of`, for a sender that groups its
-  destinations by receiver worker.
+  :func:`repro.backends.common.worker_of`, with which a sender addresses
+  each message to the worker of its destinations.
 * **Reduction order.** Floating-point addition is not associative and
   SIMD matmul kernels are not bit-stable under row permutation, while a
   shuffle delivers rows in run-dependent order. Every reduction therefore
@@ -169,40 +168,44 @@ def send(layer: GASLayer, ship: str, verts: pa.Table) -> pa.Table:
     """The messages one logical worker's ``verts`` send along their
     out-adjacency ``adj``, each sender's payload being ``layer.scatter``
     of its ``h``, shaped as ``ship`` (:func:`repro.backends.common.shipping`)
-    rules:
+    rules, and each addressed, in ``pid``, to the worker of its destinations:
 
     * ``"edge"`` — one message per out-edge;
     * ``"partial"`` — one lifted partial per ``dst``, its ``src`` the
       senders' ``pid``;
     * ``"broadcast"`` — one message per ``(id, worker(dst))``, carrying the
-      payload once and, as ``adj``, its destinations on that worker,
-      ``dst`` being the first of them.
+      payload once and, as ``adj``, its destinations on that worker.
+
+    Raises ``ValueError`` naming a sender without a state ``h``, as the
+    ``src`` of an edge from no node is.
     """
+    if verts["h"].null_count:
+        unknown = verts["id"].filter(pc.is_null(verts["h"]))[0].as_py()
+        raise ValueError(f"node id {unknown} has no features: an edge from an unknown node?")
     adj = verts["adj"].combine_chunks()
     row = pc.list_parent_indices(adj).to_numpy()
     dst = pc.list_flatten(adj).to_numpy()
     payload = layer.scatter(to_matrix(verts["h"], layer.in_dim))
+    w = worker(dst)
     if ship == "broadcast":
-        w = worker(dst)
         order = np.lexsort((w, row))
-        row, dst = row[order], dst[order]
-        first = np.flatnonzero(_starts(row, w[order]))
+        row, dst, w = row[order], dst[order], w[order]
+        first = np.flatnonzero(_starts(row, w))
         row = row[first]
         offsets = pa.array(np.append(first, len(order)).astype(np.int32))
-        adj = pa.ListArray.from_arrays(offsets, pa.array(dst))
         return pa.table(
             {
                 "src": verts["id"].take(row),
-                "dst": dst[first],
+                "pid": w[first],
                 "payload": from_matrix(payload[row]),
-                "adj": adj,
+                "adj": pa.ListArray.from_arrays(offsets, pa.array(dst)),
             }
         )
     src = verts["id"].to_numpy()[row]
     if ship == "edge":
-        return pa.table({"src": src, "dst": dst, "payload": from_matrix(payload[row])})
+        return pa.table({"src": src, "dst": dst, "pid": w, "payload": from_matrix(payload[row])})
     order = np.lexsort((src, dst))
-    row, dst = row[order], dst[order]
+    row, dst, w = row[order], dst[order], w[order]
     starts = _starts(dst)
     seg, n = np.cumsum(starts) - 1, int(starts.sum())
     partials = layer.aggregator.lift_segments(payload[row], seg, n)
@@ -210,6 +213,7 @@ def send(layer: GASLayer, ship: str, verts: pa.Table) -> pa.Table:
         {
             "src": verts["pid"].to_numpy()[row[starts]],
             "dst": dst[starts],
+            "pid": w[starts],
             "payload": from_matrix(partials),
         }
     )
@@ -233,9 +237,13 @@ def update(layer: GASLayer, ship: str, verts: pa.Table, msgs: pa.Table) -> pa.Ta
     finalize and ``apply_node``; a node without messages gets a zero
     aggregate. Union layers hand every message to ``apply_node_union``.
     Returns ``verts`` sorted by id with ``h`` replaced by the new state.
+    Raises ``ValueError`` naming an id that ``verts`` holds twice.
     """
     verts = verts.take(order_by(verts, "id"))
     ids = verts["id"].to_numpy()
+    once = _starts(ids)
+    if not once.all():
+        raise ValueError(f"duplicate node id {ids[~once][0]}")
     h = to_matrix(verts["h"], layer.in_dim)
     payload = msgs["payload"]
     if ship == "broadcast":

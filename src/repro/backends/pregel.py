@@ -5,30 +5,31 @@ Each logical worker ``pid = worker(id)`` holds its vertices' state **and
 their out-adjacency** ("structure and feature information stored in one
 place"). Between supersteps the engine keeps one *frame* with two
 kinds of rows: vertex rows ``(id, pid, adj, h)`` and the message
-rows ``(src, dst, payload)`` those vertices sent, each kind's columns null
-in the other kind's rows — except ``adj``, which a broadcast message row
-fills with its sender's destinations on its receiver worker. The engine
-does not build messages: ``send`` and ``compute`` return them, and the
-vertex program makes them with :func:`repro.backends.kernel.send`.
+rows ``(src, dst, pid, payload)`` those vertices sent, each kind's columns
+null in the other kind's rows — except ``adj``, which a broadcast message
+row fills, in place of a ``dst``, with its destinations on its worker.
+On every row ``pid`` is the logical worker whose pass reads it next: a
+vertex's own, a message's receiver. The engine does not build messages:
+``send`` and ``compute`` return them, and the vertex program makes and
+addresses them with :func:`repro.backends.kernel.send`.
 
 A superstep is one Python pass per logical worker over its vertices plus
 the messages addressed to them: ``compute`` applies the messages, then
 sends the next superstep's messages from the new state — pre-reduced per
 ``(sender worker, dst)`` in the same pass when a combiner applies, so raw
 per-edge messages never leave Python. One Spark exchange per superstep
-routes every row to its group: a message to the worker of its ``dst``, a
-vertex row to its own ``pid``. Only messages move between logical
+groups the frame's rows by ``pid``. Only messages move between logical
 workers; vertex rows cross the exchange too, once, into their own
 worker's group, because a stored frame (checkpoint or Parquet) forgets
 the partitioning the planner would need to skip it.
 
-:func:`load_gnn` is the engine's vertex program: one GAS layer per
+:func:`run_gnn` runs the engine's vertex program: one GAS layer per
 superstep with the paper's combiner trick — the *aggregate* part of a
 ``partial=True`` layer runs sender-side — and the paper's broadcast: a
 broadcastable layer sends its payload once per receiver worker, which
-fans it out to its local destinations. Both backends run it, with
-the prediction head in the last superstep's pass: :func:`infer_pregel`
-over resident frames, and :func:`repro.backends.mapreduce.infer_mr` over
+fans it out to its local destinations; the last superstep's pass applies
+the prediction head. Both backends run it: :func:`infer_pregel` over
+resident frames, and :func:`repro.backends.mapreduce.infer_mr` over
 frames stored as Parquet between rounds.
 """
 from __future__ import annotations
@@ -87,11 +88,12 @@ ComputeFn = Callable[[int, pa.Table, pa.Table], pa.Table]
 def build_vertices(nodes: DataFrame, edges: DataFrame) -> DataFrame:
     """Partition the graph Pregel-style: each vertex row carries its id,
     logical worker, out-adjacency list, and state ``h`` (initialized from
-    the node features)."""
+    the node features). An edge from an id that no node has gives a row
+    without ``h``, which :func:`kernel.send` refuses."""
     adj = edges.groupBy(F.col("src").alias("id")).agg(F.collect_list("dst").alias("adj"))
     return (
         nodes.select("id", F.col("feat").alias("h"))
-        .join(adj, "id", "left")
+        .join(adj, "id", "full")
         .select(
             "id",
             worker_of(F.col("id")).alias("pid"),
@@ -141,9 +143,10 @@ class Pregel:
 
     Loading groups the vertices by logical worker ``pid`` and lets each
     worker ``send`` the first superstep's messages. Each
-    :meth:`superstep` is one exchange routing the frame's rows to their
-    logical worker and one ``compute`` pass per worker, which returns the
-    next frame: its updated vertices plus the messages they send.
+    :meth:`superstep` is one exchange grouping the frame's rows by
+    ``pid`` and one ``compute`` pass per group, which returns the next
+    frame: its updated vertices plus the messages they send, each
+    message's ``pid`` its receiver's.
     Resident, the load and each superstep run as one Spark job, with one
     Python task per core (:func:`~repro.backends.common.planned`).
 
@@ -189,7 +192,7 @@ class Pregel:
         self, step: int, compute: ComputeFn, *, schema: StructType = FRAME_SCHEMA
     ) -> DataFrame:
         """Deliver the frame's messages and run ``compute`` once per logical
-        worker over its vertices and the messages to them.
+        worker ``pid`` over its vertices and the messages to them.
 
         The new frame is stored and returned. A last superstep passes
         the ``schema`` of its own output instead, and the frame stays:
@@ -197,9 +200,7 @@ class Pregel:
         materialize; under ``rundir`` it is stored as the next state,
         ``rundir/state_{step+1}.parquet``, and read back.
         """
-        out = self.frame.groupBy(F.coalesce("pid", worker_of(F.col("dst")))).applyInArrow(
-            lambda tbl: compute(step, *_split(tbl)), schema
-        )
+        out = self.frame.groupBy("pid").applyInArrow(lambda t: compute(step, *_split(t)), schema)
         if schema != FRAME_SCHEMA:
             return out if self.rundir is None else self._keep(step + 1, out)
         old = self.frame
@@ -214,7 +215,7 @@ class Pregel:
 # -- GNN inference on the Pregel engine ---------------------------------------
 
 
-def load_gnn(
+def run_gnn(
     nodes: DataFrame,
     edges: DataFrame,
     model: GNNModel,
@@ -223,10 +224,11 @@ def load_gnn(
     *,
     instrument: bool,
     rundir: Path | None = None,
-) -> tuple[Pregel, ComputeFn]:
-    """Load a GNN as a vertex program on the engine — the one GAS data path
+) -> tuple[Pregel, DataFrame]:
+    """Run a GNN as a vertex program on the engine — the one GAS data path
     of both backends — and return the engine (frames stored under
-    ``rundir`` if given) and its ``compute``.
+    ``rundir`` if given) and the last superstep's output, each node's
+    ``(id, logits, pred, h)``; the caller stops the engine once it is read.
 
     Loading sends layer 0's messages. Superstep k applies layer k to its
     messages (:func:`kernel.update`) and sends layer k+1's
@@ -234,15 +236,15 @@ def load_gnn(
     layer: a ``partial`` layer under partial gather has them combined per
     ``(worker(src), dst)`` in that pass; a broadcastable layer under
     broadcast sends one per ``(src, worker(dst))``, which the receiving
-    pass fans out; any other layer one per edge. The last layer's
-    ``compute`` sends nothing and returns the final vertex rows, for the
-    caller's last superstep to apply the prediction head to in the same
-    pass. Under shadow nodes the
-    vertex rows, held in memory until the load is stored, split hubs into
-    mirrors as decided from them, and the last layer drops the mirrors
-    again; with ``instrument``, ``stats`` gets each layer's traffic as
+    pass fans out; any other layer one per edge. The last superstep sends
+    nothing and applies the prediction head to the final vertex rows in
+    the same pass. Under shadow nodes the vertex rows, held in memory
+    until the load is stored, split hubs into mirrors as decided from
+    them, and the last layer drops the mirrors again; with
+    ``instrument``, ``stats`` gets each layer's traffic as
     :func:`count_comm` accounts it from the vertex rows' edges, plus the
-    destination ids a broadcast layer's rows carry.
+    destination ids a broadcast layer's rows carry. A failed superstep
+    stops the engine.
     """
     verts, floor = build_vertices(nodes, edges), None
     layers = model.layers
@@ -256,7 +258,10 @@ def load_gnn(
         verts = kernel.update(layers[k], ships[k], verts, msgs)
         if k + 1 < len(layers):
             return frame(verts, send(k + 1, verts))
-        return verts if floor is None else verts.filter(pc.less(verts["id"], floor))
+        if floor is not None:
+            verts = verts.filter(pc.less(verts["id"], floor))
+        # update sorts the rows by id, as head does, so h lines up with them
+        return kernel.head(model, verts).append_column("h", verts["h"])
 
     held = checkpoint(verts) if strategies.shadow_nodes else None
     try:
@@ -268,10 +273,18 @@ def load_gnn(
                 rows, floats = count_comm(sent, layer, partial_gather=pg, broadcast=bc)
                 ids = sent.count() if ships[k] == "broadcast" else 0
                 stats.rounds.append(RoundStats(k, msg_rows=rows, msg_floats=floats, id_rows=ids))
-        return Pregel(verts, partial(send, 0), rundir), compute
+        eng = Pregel(verts, partial(send, 0), rundir)
     finally:
         if held is not None:
             release(held)
+    state = StructType(kernel.head_schema(model.task).fields + [VERTEX_SCHEMA["h"]])
+    try:
+        for k in range(len(layers)):
+            out = eng.superstep(k, compute, schema=state if k + 1 == len(layers) else FRAME_SCHEMA)
+    except BaseException:
+        eng.stop()
+        raise
+    return eng, out
 
 
 def infer_pregel(
@@ -283,25 +296,18 @@ def infer_pregel(
     strategies: StrategyConfig = StrategyConfig.none(),
     instrument: bool = False,
 ) -> tuple[DataFrame, RunStats]:
-    """Full-graph GNN inference on the Pregel backend: :func:`load_gnn`
-    with resident frames, the prediction head run in the last superstep.
+    """Full-graph GNN inference on the Pregel backend: :func:`run_gnn`
+    with resident frames, the last superstep's output collected.
     ``result`` has columns ``(id, logits, pred)`` for every node."""
     stats = RunStats(backend="pregel")
-    n_layers, schema = model.n_layers, kernel.head_schema(model.task)
+    head = kernel.head_schema(model.task)
     with Timer() as t:
-        eng, compute = load_gnn(nodes, edges, model, strategies, stats, instrument=instrument)
+        eng, out = run_gnn(nodes, edges, model, strategies, stats, instrument=instrument)
         try:
-            for k in range(n_layers - 1):
-                eng.superstep(k, compute)
-            result = eng.superstep(
-                n_layers - 1,
-                lambda k, verts, msgs: kernel.head(model, compute(k, verts, msgs)),
-                schema=schema,
-            )
             with planned(spark):
-                pdf = result.toPandas()
+                pdf = out.select(head.names).toPandas()
         finally:
             eng.stop()
-        result = spark.createDataFrame(pdf, schema)
+        result = spark.createDataFrame(pdf, head)
     stats.wall_s = t.wall_s
     return result, stats

@@ -42,7 +42,7 @@ def apply_shadow_nodes(vertices: DataFrame) -> tuple[DataFrame, int, int | None,
     (:func:`~repro.backends.common.planned`). Returns ``(rows, n_hubs, floor,
     threshold)``, mirror ids being ``floor, floor + 1, …``; with no hub,
     ``(vertices, 0, None, threshold)``. Raises ``ValueError`` if a mirror
-    id would not fit in int64.
+    id would not fit in int64, or naming a hub that two rows hold.
     """
     deg = F.size("adj")
     with planned(vertices.sparkSession):
@@ -54,6 +54,8 @@ def apply_shadow_nodes(vertices: DataFrame) -> tuple[DataFrame, int, int | None,
     floor = next_id = max_id + 1
     copies = {}
     for hub, d in sorted(hubs):
+        if hub in copies:  # else its mirrors, not it, would be duplicated
+            raise ValueError(f"duplicate node id {hub}")
         n = -(-d // threshold)
         copies[hub] = [hub, *range(next_id, next_id + n - 1)]
         next_id += n - 1

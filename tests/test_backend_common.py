@@ -48,7 +48,7 @@ def test_numpy_worker_equals_worker_of(spark):
 
 
 def test_broadcast_rows_route_with_their_destinations(spark):
-    """A broadcast row's every destination lives on the worker its ``dst``
+    """A broadcast row's every destination lives on the worker its ``pid``
     routes it to, and a sender has one row per receiver worker."""
     rng = np.random.default_rng(8)
     n = 60
@@ -61,12 +61,13 @@ def test_broadcast_rows_route_with_their_destinations(spark):
     )
     verts = pa.table({"id": ids, "adj": adj, "h": kernel.from_matrix(rng.random((n, 3)))})
     rows = kernel.send(GASLayer(3, 3), "broadcast", verts)
-    df = spark.createDataFrame(rows.select(["src", "dst", "adj"]).to_pandas())
-    fanned = df.select("src", "dst", F.explode("adj").alias("to"))
+    assert "dst" not in rows.column_names
+    df = spark.createDataFrame(rows.select(["src", "pid", "adj"]).to_pandas())
+    fanned = df.select("src", "pid", F.explode("adj").alias("to"))
     assert fanned.count() == deg.sum()
-    assert fanned.filter(worker_of(F.col("dst")) != worker_of(F.col("to"))).count() == 0
+    assert fanned.filter(F.col("pid") != worker_of(F.col("to"))).count() == 0
     pairs = fanned.select("src", worker_of(F.col("to"))).distinct().count()
-    assert rows.num_rows == pairs == df.select("src", worker_of(F.col("dst"))).distinct().count()
+    assert rows.num_rows == pairs == df.select("src", "pid").distinct().count()
 
 
 def test_runstats_accounting():

@@ -7,7 +7,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.backends import pregel
-from repro.backends.common import N_WORKERS
+from repro.backends.common import N_WORKERS, RunStats, planned, worker_of
 from repro.backends.mapreduce import infer_mr
 from repro.backends.pregel import infer_pregel
 from repro.core.model import build_gat, build_sage
@@ -95,6 +95,81 @@ def test_job_count_per_run(spark, graph, tmp_path, backend, model_key, n_layers,
     assert len(sc.statusTracker().getJobIdsForGroup(group)) <= bound
 
 
+def _on_stored_frames(monkeypatch, measure) -> list:
+    """``measure`` of every frame the engine stores — the load's and each
+    superstep's but the last — in the order stored."""
+    seen = []
+    init, superstep = pregel.Pregel.__init__, pregel.Pregel.superstep
+
+    def traced_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen.append(measure(self.frame))
+
+    def traced_superstep(self, *args, **kwargs):
+        out = superstep(self, *args, **kwargs)
+        if out is self.frame:
+            seen.append(measure(out))
+        return out
+
+    monkeypatch.setattr(pregel.Pregel, "__init__", traced_init)
+    monkeypatch.setattr(pregel.Pregel, "superstep", traced_superstep)
+    return seen
+
+
+def _routing(f) -> tuple[int, int, int]:
+    """A frame's message rows, its broadcast rows, and the message rows
+    whose ``pid`` is not the worker of their ``dst`` or, for a broadcast
+    row (an ``adj`` and no ``dst``), of every destination in its ``adj``."""
+    msgs = f.filter(F.col("id").isNull())
+    pid = F.col("pid")
+    routed = F.when(F.col("adj").isNull(), pid == worker_of(F.col("dst"))).otherwise(
+        F.col("dst").isNull() & ~F.exists("adj", lambda d: pid != worker_of(d))
+    )
+    return (
+        msgs.count(),
+        msgs.filter(F.col("adj").isNotNull()).count(),
+        msgs.filter(~F.coalesce(routed, F.lit(False))).count(),
+    )
+
+
+@_per_backend(
+    "model_key,strat",
+    [("sage", StrategyConfig.none()), ("sage", PG), ("sage", BC), ("gat", ALL)],
+    ["none", "pg", "bc", "gat-all"],
+)
+def test_messages_carry_their_receivers_pid(
+    spark, graph, tmp_path, monkeypatch, backend, model_key, strat
+):
+    """Every stored message row — per edge, partial or broadcast — names
+    in ``pid`` the worker its destinations live on, so the superstep's
+    exchange can group by ``pid`` alone."""
+    nodes, edges = graph
+    frames = _on_stored_frames(monkeypatch, _routing)
+    _infer(backend, spark, nodes, edges, _traffic_model(model_key, 2), tmp_path, strategies=strat)
+    assert len(frames) == 2
+    for msgs, broadcast, misrouted in frames:
+        assert msgs > 0 and misrouted == 0
+        assert (broadcast > 0) == strat.broadcast
+
+
+@pytest.mark.parametrize("strat", [StrategyConfig.none(), BC], ids=["none", "bc"])
+def test_superstep_exchange_is_keyed_by_pid(spark, graph, strat):
+    """A superstep's one exchange is keyed by the stored frame's own
+    ``pid`` column: no per-row key (no ``xxhash64``) is computed between
+    the frame's scan and the exchange."""
+    nodes, edges = graph
+    model = _traffic_model("gat", 2)
+    eng, out = pregel.run_gnn(nodes, edges, model, strat, RunStats("pregel"), instrument=False)
+    try:
+        with planned(spark):
+            plan = out._jdf.queryExecution().executedPlan().toString()
+    finally:
+        eng.stop()
+    (exchange,) = [line for line in plan.splitlines() if "Exchange" in line]
+    assert "hashpartitioning(pid#" in exchange
+    assert "xxhash64" not in plan
+
+
 @_per_backend(
     "model_key,strat",
     [("sage", StrategyConfig.none()), ("sage", PG), ("sage", ALL), ("gat", BC), ("gat", ALL)],
@@ -110,35 +185,17 @@ def test_frame_traffic_equals_accounting(
     ``RoundStats.id_rows`` counts."""
     nodes, edges = graph
     model = _traffic_model(model_key, 3)
-    frames = []
 
-    def record(eng):
-        f = eng.frame
-        msgs = f.filter(F.col("dst").isNotNull())
-        frames.append(
-            (
-                f.filter(F.col("id").isNotNull()).count(),
-                msgs.count(),
-                msgs.agg(F.sum(F.size("payload"))).first()[0] or 0,
-                msgs.filter(F.col("adj").isNotNull()).agg(F.sum(F.size("adj"))).first()[0]
-                or 0,
-            )
+    def traffic(f):
+        msgs = f.filter(F.col("id").isNull())
+        return (
+            f.filter(F.col("id").isNotNull()).count(),
+            msgs.count(),
+            msgs.agg(F.sum(F.size("payload"))).first()[0] or 0,
+            msgs.filter(F.col("adj").isNotNull()).agg(F.sum(F.size("adj"))).first()[0] or 0,
         )
 
-    init, superstep = pregel.Pregel.__init__, pregel.Pregel.superstep
-
-    def traced_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        record(self)
-
-    def traced_superstep(self, *args, **kwargs):
-        out = superstep(self, *args, **kwargs)
-        if out is self.frame:
-            record(self)
-        return out
-
-    monkeypatch.setattr(pregel.Pregel, "__init__", traced_init)
-    monkeypatch.setattr(pregel.Pregel, "superstep", traced_superstep)
+    frames = _on_stored_frames(monkeypatch, traffic)
     _, stats = _infer(
         backend, spark, nodes, edges, model, tmp_path, strategies=strat, instrument=True
     )
@@ -214,10 +271,11 @@ ID_CASES = {
 @pytest.mark.parametrize("case", list(ID_CASES))
 @pytest.mark.parametrize("model_key", ["sage", "gat"])
 @pytest.mark.parametrize("backend", ["pregel", "mr"])
-def test_node_ids_under_shadow_nodes(spark, tmp_path, backend, model_key, case):
+def test_node_ids_under_shadow_nodes(spark, tmp_path, monkeypatch, backend, model_key, case):
     """Mirror ids come from above the largest id, so any int64 ids work:
     every node comes back exactly once, with the logits of the same graph
-    labelled 0..n-1."""
+    labelled 0..n-1, and every message, partial (SAGE) or broadcast (GAT),
+    names the worker of its destinations."""
     n, d = 6, 5
     relabel = ID_CASES[case]
     feat = np.random.default_rng(3).standard_normal((n, d))
@@ -229,7 +287,9 @@ def test_node_ids_under_shadow_nodes(spark, tmp_path, backend, model_key, case):
         ).astype("int64")
     )
     model = _model(model_key, d)
+    frames = _on_stored_frames(monkeypatch, _routing)
     result, _ = _infer(backend, spark, nodes, edges, model, tmp_path, strategies=ALL)
+    assert [(m > 0, b > 0, bad) for m, b, bad in frames] == [(True, model_key == "gat", 0)] * 2
     pdf = result.toPandas().sort_values("id")
     assert pdf["id"].tolist() == sorted(ids.tolist())
     ref = forward_full(model, LocalGraph(feat=feat, src=_HUB_SRC, dst=_HUB_DST))
